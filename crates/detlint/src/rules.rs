@@ -190,9 +190,10 @@ pub const HOT_PATH_FILES: &[&str] = &[
 
 /// The zero-allocation roots: `(file, fn-name)` pairs whose transitive
 /// callees must not allocate. These are PR 3's cached-hit path — the
-/// invariant `bench_hotpath` measures dynamically (0 allocs/query on
-/// cached hits) is enforced statically over this closure by rule
-/// `hot-alloc`. Miss/insert paths allocate by design and are not roots.
+/// invariant `crates/dns-server/tests/zero_alloc.rs` checks dynamically
+/// (0 allocations per warm `get_shared` hit) is enforced statically over
+/// this closure by rule `hot-alloc`. Miss/insert paths allocate by design
+/// and are not roots.
 pub const HOT_ALLOC_ROOTS: &[(&str, &str)] = &[
     // The cached-hit lookup: probe, TTL check, LRU bump, shared answer.
     ("crates/dns-server/src/cache.rs", "get_shared"),
@@ -279,9 +280,9 @@ mod tests {
         assert!(fuzz.contains(&RuleId::MapIter), "fuzz summary is output");
         let test_file = rules_for_path("tests/determinism.rs");
         assert_eq!(test_file, vec![RuleId::UnsafeComment]);
-        let bench_bin = rules_for_path("crates/bench/src/bin/repro.rs");
-        assert!(bench_bin.contains(&RuleId::WallClock));
-        assert!(!bench_bin.contains(&RuleId::HotPanic));
+        let repro_bin = rules_for_path("crates/mec-cdn/src/bin/repro.rs");
+        assert!(repro_bin.contains(&RuleId::WallClock));
+        assert!(!repro_bin.contains(&RuleId::HotPanic));
     }
 
     #[test]

@@ -27,9 +27,8 @@
 //!   the answer is serialized into a response, not by deep-cloning the
 //!   record vector inside the cache.
 //!
-//! The pre-interning implementation is preserved as [`naive::DnsCache`]
-//! (tests and the `bench-naive` feature only) so the equivalence suite
-//! and the `cache_churn` benchmark can drive both side by side.
+//! The pre-interning implementation is preserved as `naive::DnsCache`
+//! (tests only) so the equivalence suite can drive both side by side.
 
 use dns_wire::{Name, NameId, Rcode, Record, RrType};
 use netsim::{SimDuration, SimTime};
@@ -443,8 +442,8 @@ impl DnsCache {
 
 /// The pre-interning cache: `String` keys, full-map expired purge and an
 /// O(n) LRU victim scan. Kept only as the behavioural reference for the
-/// equivalence tests and the `cache_churn` before/after benchmark.
-#[cfg(any(test, feature = "bench-naive"))]
+/// equivalence tests.
+#[cfg(test)]
 pub mod naive {
     use dns_wire::{Name, Rcode, Record, RrType};
     use netsim::{SimDuration, SimTime};

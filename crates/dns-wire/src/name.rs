@@ -597,7 +597,7 @@ mod tests {
         let mut buf = Vec::new();
         for _ in 0..5 {
             buf.push(63);
-            buf.extend(std::iter::repeat(b'x').take(63));
+            buf.extend(std::iter::repeat_n(b'x', 63));
         }
         buf.push(0);
         let mut r = Reader::new(&buf);
@@ -612,7 +612,7 @@ mod tests {
         // 63 is the largest literal label; 64 sets the reserved 0b01
         // type bits and must be refused as an unsupported label type.
         let mut ok = vec![63];
-        ok.extend(std::iter::repeat(b'y').take(63));
+        ok.extend(std::iter::repeat_n(b'y', 63));
         ok.push(0);
         let mut r = Reader::new(&ok);
         let name = Name::decode(&mut r).unwrap();

@@ -17,7 +17,7 @@
 //! The report carries the paper-facing metrics (cache hit ratio, p50/
 //! p99/max resolution latency) plus the scheduler counters threaded out
 //! of `netsim::stats` (events executed, peak pending, wheel cascades) so
-//! `bench_city` can derive events/sec without ad-hoc instrumentation.
+//! a benchmark can derive events/sec without ad-hoc instrumentation.
 //! Deployments run as independent trials on the [`Runner`], so the
 //! report is byte-identical at any `--threads N`.
 

@@ -2,8 +2,7 @@
 //!
 //! Each function builds the relevant world, runs it, and returns
 //! serializable figure data (see `workload::figures`). The `repro`
-//! binary prints these; integration tests assert their shape; the
-//! Criterion benches time them.
+//! binary prints these; integration tests assert their shape.
 
 use crate::deployments::{Deployment, DeploymentKind, TestbedConfig};
 use crate::dos::{DirectedClient, DosPolicy, ResolverDirective};

@@ -14,8 +14,8 @@
 //!   sockets, batched receive, bounded encode (`encode_bounded`, TC on
 //!   truncation), graceful shutdown into a merged [`serve::ServeReport`].
 //! * [`loadgen`] — a closed-loop, Zipf-mix load generator for driving
-//!   the fleet over loopback (the `bench_serve` runner and the CI smoke
-//!   test are built on it).
+//!   the fleet over loopback (`mecdnsd smoke` and the loopback tests
+//!   are built on it).
 //! * [`clock`] — the single wall-clock read site; the rest of the crate
 //!   sees only virtual [`netsim::SimTime`].
 

@@ -169,8 +169,7 @@ fn cmd_loadgen(args: &[String]) -> i32 {
     i32::from(report.received == 0)
 }
 
-/// Hand-rolled JSON so the binary needs no serializer dependency; the
-/// committed benchmark artifact is produced by `bench_serve`, not here.
+/// Hand-rolled JSON so the binary needs no serializer dependency.
 fn loadgen_json(report: &mecdnsd::LoadReport) -> String {
     format!(
         "{{\"sent\":{},\"received\":{},\"timeouts\":{},\"decode_errors\":{},\

@@ -435,7 +435,7 @@ mod tests {
         impl NodeBehavior for Ticker {
             fn on_start(&mut self, ctx: &mut NodeContext<'_>) {
                 for i in 0..10 {
-                    ctx.set_timer(ms(100 * i as u64), i);
+                    ctx.set_timer(ms(100 * i), i);
                 }
             }
             fn on_timer(&mut self, ctx: &mut NodeContext<'_>, _t: TimerToken, _d: u64) {
