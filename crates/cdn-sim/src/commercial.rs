@@ -181,7 +181,7 @@ impl Plugin for MultiCdnRouter {
             u64::from(query.header.id),
             ctx.now,
             "cdns.pool_select",
-            format!("{provider} {pool}"),
+            || format!("{provider} {pool}"),
         );
         // Address within the pool: rotate deterministically so repeated
         // answers exercise several cache hosts per range.

@@ -11,11 +11,44 @@
 //! each retained crasher is minimized and written as
 //! `case-<idx>-<class>.bin` for pinning as a regression fixture.
 //! `--write-seeds` regenerates `corpus/seeds/*.bin` from the builders
-//! in `dns_fuzz::corpus` and exits.
+//! in `dns_fuzz::corpus` and exits. An unknown flag, a flag without its
+//! value, or a value that does not parse prints the reason and the usage
+//! to stderr and exits 2.
 
 use dns_fuzz::{minimize, oracle, runner, Config};
 use std::path::Path;
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: fuzz_wire [--cases N] [--seed 0xHEX] [--threads T] \
+                     [--summary PATH] [--crashers DIR] [--write-seeds]";
+
+/// Flags that take a value, and switches.
+const VALUE_FLAGS: &[&str] = &["--cases", "--seed", "--threads", "--summary", "--crashers"];
+const SWITCHES: &[&str] = &["--write-seeds", "--help", "-h"];
+
+/// Rejects any argument that is not a known flag, and a value flag
+/// without its value.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{arg} needs a value"));
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Err(format!("unknown flag `{arg}`"));
+        }
+    }
+    Ok(())
+}
+
+/// Prints `reason` and the usage to stderr; the exit code for input the
+/// binary does not understand.
+fn usage_error(reason: &str) -> ExitCode {
+    eprintln!("fuzz_wire: {reason}");
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
+}
 
 fn parse_u64(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -36,11 +69,11 @@ fn main() -> ExitCode {
             .map(String::as_str)
     };
 
+    if let Err(reason) = check_args(&args) {
+        return usage_error(&reason);
+    }
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "usage: fuzz_wire [--cases N] [--seed 0xHEX] [--threads T] \
-             [--summary PATH] [--crashers DIR] [--write-seeds]"
-        );
+        println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
 
@@ -67,28 +100,19 @@ fn main() -> ExitCode {
     if let Some(v) = value_of("--cases") {
         match parse_u64(v) {
             Some(n) => cfg.cases = n,
-            None => {
-                eprintln!("fuzz_wire: bad --cases {v}");
-                return ExitCode::FAILURE;
-            }
+            None => return usage_error(&format!("bad --cases {v}")),
         }
     }
     if let Some(v) = value_of("--seed") {
         match parse_u64(v) {
             Some(n) => cfg.root_seed = n,
-            None => {
-                eprintln!("fuzz_wire: bad --seed {v}");
-                return ExitCode::FAILURE;
-            }
+            None => return usage_error(&format!("bad --seed {v}")),
         }
     }
     if let Some(v) = value_of("--threads") {
         match v.parse() {
             Ok(n) => cfg.threads = n,
-            Err(_) => {
-                eprintln!("fuzz_wire: bad --threads {v}");
-                return ExitCode::FAILURE;
-            }
+            Err(_) => return usage_error(&format!("bad --threads {v}")),
         }
     }
 

@@ -135,7 +135,6 @@ impl ServeEngine {
         query: &Message,
     ) -> Option<Message> {
         self.queries += 1;
-        self.telemetry.incr("serve.query");
         let ctx = QueryCtx {
             now,
             client,
@@ -164,7 +163,6 @@ impl ServeEngine {
             }
             PluginDecision::Ignore => {
                 self.ignored += 1;
-                self.telemetry.incr("serve.ignore");
                 return None;
             }
             PluginDecision::Continue => {
@@ -180,7 +178,6 @@ impl ServeEngine {
             }
         }
         self.rcodes.count(response.header.rcode);
-        self.telemetry.incr("serve.response");
         Some(response)
     }
 

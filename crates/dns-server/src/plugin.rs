@@ -22,9 +22,9 @@ pub struct QueryCtx {
     /// Client source port.
     pub client_port: u16,
     /// Where plugins record counters and resolution breadcrumbs. A
-    /// default handle is a private no-op store, so tests and callers
-    /// that don't collect telemetry construct it with
-    /// `Telemetry::default()`.
+    /// `Telemetry::default()` handle keeps the counters but drops every
+    /// breadcrumb without building its detail, so tests and callers that
+    /// don't read traces construct it that way.
     pub telemetry: Telemetry,
 }
 

@@ -108,12 +108,10 @@ impl Plugin for CachePlugin {
         match self.cache.get(&q.qname, q.qtype, ctx.now) {
             Some((records, rcode)) => {
                 ctx.telemetry.incr("dns.cache.hit");
-                ctx.telemetry.mark(
-                    u64::from(query.header.id),
-                    ctx.now,
-                    "cache.hit",
-                    q.qname.canonical(),
-                );
+                ctx.telemetry
+                    .mark(u64::from(query.header.id), ctx.now, "cache.hit", || {
+                        q.qname.canonical()
+                    });
                 let mut resp = Message::response_to(query).with_rcode(rcode);
                 resp.answers = records;
                 resp.header.recursion_available = true;
@@ -266,7 +264,7 @@ impl Plugin for StubDomainPlugin {
                     u64::from(query.header.id),
                     ctx.now,
                     "stub_domain.redirect",
-                    upstream.to_string(),
+                    || upstream.to_string(),
                 );
                 PluginDecision::Forward { upstream }
             }
@@ -364,7 +362,7 @@ impl Plugin for ForwardPlugin {
                 u64::from(query.header.id),
                 ctx.now,
                 "forward.failover",
-                upstream.to_string(),
+                || upstream.to_string(),
             );
         }
         PluginDecision::Forward { upstream }

@@ -92,7 +92,8 @@ pub struct DnsServer {
     config: ServerConfig,
     plugins: Vec<Box<dyn Plugin>>,
     telemetry: Telemetry,
-    inbox: HashMap<u64, Datagram>,
+    /// Queries waiting out their processing delay, decoded on arrival.
+    inbox: HashMap<u64, (Datagram, Message)>,
     next_inbox: u64,
     jobs: HashMap<u64, Job>,
     id_to_gen: HashMap<u16, u64>,
@@ -190,15 +191,20 @@ impl DnsServer {
         }
     }
 
-    fn respond(&mut self, ctx: &mut NodeContext<'_>, reply_to: &Datagram, mut resp: Message) {
+    /// Sends `resp` back to the client; `client_ecs` is the ECS option
+    /// the client's query carried.
+    fn respond(
+        &mut self,
+        ctx: &mut NodeContext<'_>,
+        reply_to: &Datagram,
+        client_ecs: Option<ClientSubnet>,
+        mut resp: Message,
+    ) {
         // Echo the client's ECS option if the response does not already
         // carry one (RFC 7871 §7.2.2).
         if resp.edns.as_ref().and_then(|o| o.client_subnet()).is_none() {
-            // Note: the reply template's payload still holds the query.
-            if let Ok(q) = Message::decode(&reply_to.payload) {
-                if let Some(cs) = q.client_subnet() {
-                    resp.edns = Some(Opt::with_client_subnet(*cs));
-                }
+            if let Some(cs) = client_ecs {
+                resp.edns = Some(Opt::with_client_subnet(cs));
             }
         }
         match resp.encode() {
@@ -270,7 +276,7 @@ impl DnsServer {
             u64::from(query.header.id),
             ctx.now(),
             "server.forward",
-            target.to_string(),
+            || target.to_string(),
         );
         let job = Job {
             reply_to,
@@ -328,28 +334,21 @@ impl DnsServer {
         for p in &mut self.plugins {
             p.on_response(&qctx, &mut response);
         }
-        self.respond(ctx, &job.reply_to, response);
+        let client_ecs = job.query.client_subnet().copied();
+        self.respond(ctx, &job.reply_to, client_ecs, response);
     }
 
     fn fail_job(&mut self, ctx: &mut NodeContext<'_>, gen: u64) {
-        let Some(job) = self.jobs.get(&gen) else {
+        let Some(job) = self.jobs.remove(&gen) else {
             return;
         };
-        let resp = Message::response_to(&job.query).with_rcode(Rcode::ServFail);
-        let reply_to = job.reply_to.clone();
         self.id_to_gen.remove(&job.upstream_id);
-        self.jobs.remove(&gen);
-        self.respond(ctx, &reply_to, resp);
+        let resp = Message::response_to(&job.query).with_rcode(Rcode::ServFail);
+        self.respond(ctx, &job.reply_to, job.query.client_subnet().copied(), resp);
     }
 
-    fn process_query(&mut self, ctx: &mut NodeContext<'_>, dgram: Datagram) {
-        let query = match Message::decode(&dgram.payload) {
-            Ok(m) => m,
-            Err(_) => {
-                self.malformed += 1;
-                return;
-            }
-        };
+    fn process_query(&mut self, ctx: &mut NodeContext<'_>, dgram: Datagram, query: Message) {
+        let client_ecs = query.client_subnet().copied();
         let qctx = self.ctx_for(ctx.now(), &dgram);
         let mut decision = PluginDecision::Continue;
         for p in &mut self.plugins {
@@ -361,7 +360,7 @@ impl DnsServer {
         match decision {
             PluginDecision::Respond(mut resp) => {
                 resp.header.id = query.header.id;
-                self.respond(ctx, &dgram, resp);
+                self.respond(ctx, &dgram, client_ecs, resp);
             }
             PluginDecision::Forward { upstream } => {
                 self.start_job(ctx, dgram, query, JobKind::Forward { upstream });
@@ -387,7 +386,7 @@ impl DnsServer {
             PluginDecision::Continue => {
                 // Off the end of the chain: refuse.
                 let resp = Message::response_to(&query).with_rcode(Rcode::Refused);
-                self.respond(ctx, &dgram, resp);
+                self.respond(ctx, &dgram, client_ecs, resp);
             }
         }
     }
@@ -528,17 +527,16 @@ impl NodeBehavior for DnsServer {
             return;
         }
         // A query (or a response mistakenly sent to port 53 — ignore).
-        let has_ecs = Message::decode(&dgram.payload)
-            .ok()
-            .filter(|m| !m.header.is_response)
-            .map(|m| m.client_subnet().is_some());
-        let Some(has_ecs) = has_ecs else {
-            self.malformed += 1;
-            return;
+        let query = match Message::decode(&dgram.payload) {
+            Ok(m) if !m.header.is_response => m,
+            _ => {
+                self.malformed += 1;
+                return;
+            }
         };
         self.queries_received += 1;
         let mut work = self.config.processing.sample(ctx.rng());
-        if has_ecs {
+        if query.client_subnet().is_some() {
             work += self.config.ecs_processing.sample(ctx.rng());
         }
         let delay = if self.config.single_worker {
@@ -552,7 +550,7 @@ impl NodeBehavior for DnsServer {
         };
         let key = self.next_inbox;
         self.next_inbox += 1;
-        self.inbox.insert(key, dgram);
+        self.inbox.insert(key, (dgram, query));
         ctx.set_timer(delay, TAG_INBOX | key);
     }
 
@@ -560,8 +558,8 @@ impl NodeBehavior for DnsServer {
         let payload = data & !TAG_MASK;
         match data & TAG_MASK {
             TAG_INBOX => {
-                if let Some(dgram) = self.inbox.remove(&payload) {
-                    self.process_query(ctx, dgram);
+                if let Some((dgram, query)) = self.inbox.remove(&payload) {
+                    self.process_query(ctx, dgram, query);
                 }
             }
             TAG_PENDING => {

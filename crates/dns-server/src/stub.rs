@@ -152,9 +152,10 @@ impl StubEngine {
         SimDuration::from_nanos(ns).min(self.max_backoff)
     }
 
-    /// Routes this engine's telemetry into `t`. Breadcrumbs are keyed by
-    /// the engine's DNS transaction ids — the same ids the P-GW tap sees
-    /// in the wire payloads, which is what makes trace-vs-tap
+    /// Routes this engine's telemetry into `t`. Breadcrumbs, kept only
+    /// when `t` is a `Telemetry::recording()` handle, are keyed by the
+    /// engine's DNS transaction ids — the same ids the P-GW tap sees in
+    /// the wire payloads, which is what makes trace-vs-tap
     /// cross-validation possible.
     pub fn set_telemetry(&mut self, t: Telemetry) {
         self.telemetry = t;
@@ -199,7 +200,7 @@ impl StubEngine {
         self.pending.insert(id, pending);
         self.telemetry.incr("stub.query");
         self.telemetry
-            .mark(u64::from(id), ctx.now(), "stub.issue", name.canonical());
+            .mark(u64::from(id), ctx.now(), "stub.issue", || name.canonical());
         match &strategy {
             SendStrategy::Unicast(server) => {
                 self.transmit(ctx, id, *server);
@@ -284,12 +285,10 @@ impl StubEngine {
                     // waiting for its timer before trying the fallback.
                     p.fallback_sent = true;
                     self.telemetry.incr("stub.servfail");
-                    self.telemetry.mark(
-                        u64::from(id),
-                        ctx.now(),
-                        "stub.servfail",
-                        fallback.to_string(),
-                    );
+                    self.telemetry
+                        .mark(u64::from(id), ctx.now(), "stub.servfail", || {
+                            fallback.to_string()
+                        });
                     self.transmit(ctx, id, fallback);
                     ctx.set_timer(self.query_timeout, TAG_STUB | u64::from(id));
                     return None;
@@ -303,12 +302,10 @@ impl StubEngine {
                     // cloud resolver.
                     p.fallback_sent = true;
                     self.telemetry.incr("stub.servfail");
-                    self.telemetry.mark(
-                        u64::from(id),
-                        ctx.now(),
-                        "stub.servfail",
-                        cloud.to_string(),
-                    );
+                    self.telemetry
+                        .mark(u64::from(id), ctx.now(), "stub.servfail", || {
+                            cloud.to_string()
+                        });
                     self.transmit(ctx, id, cloud);
                     ctx.set_timer(self.query_timeout, TAG_STUB | u64::from(id));
                     return None;
@@ -355,12 +352,10 @@ impl StubEngine {
             ecs_scope: msg.client_subnet().map(|cs| cs.scope_prefix),
         };
         self.telemetry.observe("stub.rtt", outcome.rtt);
-        self.telemetry.mark(
-            u64::from(msg.header.id),
-            ctx.now(),
-            "stub.answer",
-            dgram.src.to_string(),
-        );
+        self.telemetry
+            .mark(u64::from(msg.header.id), ctx.now(), "stub.answer", || {
+                dgram.src.to_string()
+            });
         self.outcomes.push(outcome.clone());
         Some(outcome)
     }
@@ -380,7 +375,9 @@ impl StubEngine {
                 p.fallback_sent = true;
                 self.telemetry.incr("stub.fallback");
                 self.telemetry
-                    .mark(u64::from(id), ctx.now(), "stub.fallback", fallback.to_string());
+                    .mark(u64::from(id), ctx.now(), "stub.fallback", || {
+                        fallback.to_string()
+                    });
                 self.transmit(ctx, id, fallback);
                 ctx.set_timer(self.query_timeout, TAG_STUB | u64::from(id));
                 None
@@ -392,7 +389,9 @@ impl StubEngine {
                 let wait = self.backoff(attempt);
                 self.telemetry.incr("stub.retry");
                 self.telemetry
-                    .mark(u64::from(id), ctx.now(), "stub.retry", server.to_string());
+                    .mark(u64::from(id), ctx.now(), "stub.retry", || {
+                        server.to_string()
+                    });
                 self.transmit(ctx, id, server);
                 ctx.set_timer(wait, TAG_STUB | u64::from(id));
                 None
@@ -404,7 +403,9 @@ impl StubEngine {
                 let wait = self.backoff(attempt);
                 self.telemetry.incr("stub.retry");
                 self.telemetry
-                    .mark(u64::from(id), ctx.now(), "stub.retry", format!("x{}", servers.len()));
+                    .mark(u64::from(id), ctx.now(), "stub.retry", || {
+                        format!("x{}", servers.len())
+                    });
                 for s in &servers {
                     self.transmit(ctx, id, *s);
                 }
@@ -424,7 +425,9 @@ impl StubEngine {
                 let wait = self.backoff(attempt);
                 self.telemetry.incr("stub.retry");
                 self.telemetry
-                    .mark(u64::from(id), ctx.now(), "stub.retry", fallback.to_string());
+                    .mark(u64::from(id), ctx.now(), "stub.retry", || {
+                        fallback.to_string()
+                    });
                 self.transmit(ctx, id, primary);
                 self.transmit(ctx, id, fallback);
                 ctx.set_timer(wait, TAG_STUB | u64::from(id));
@@ -444,7 +447,9 @@ impl StubEngine {
                 let wait = self.backoff(attempt);
                 self.telemetry.incr("stub.retry");
                 self.telemetry
-                    .mark(u64::from(id), ctx.now(), "stub.retry", anycast.to_string());
+                    .mark(u64::from(id), ctx.now(), "stub.retry", || {
+                        anycast.to_string()
+                    });
                 self.transmit(ctx, id, anycast);
                 if engaged {
                     self.transmit(ctx, id, cloud);
@@ -455,7 +460,8 @@ impl StubEngine {
             _ => {
                 let p = self.pending.remove(&id)?;
                 self.telemetry.incr("stub.timeout");
-                self.telemetry.mark(u64::from(id), ctx.now(), "stub.timeout", "");
+                self.telemetry
+                    .mark(u64::from(id), ctx.now(), "stub.timeout", String::new);
                 let outcome = QueryOutcome {
                     tag: p.tag,
                     name: p.name,

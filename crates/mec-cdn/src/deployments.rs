@@ -205,8 +205,9 @@ impl Deployment {
     pub fn build(kind: DeploymentKind, cfg: &TestbedConfig) -> Deployment {
         let mut net = Network::new(cfg.seed);
         // One telemetry store for the whole world; every component below
-        // records into a clone of this handle.
-        let tel = Telemetry::new();
+        // records into a clone of this handle. It keeps breadcrumbs: the
+        // trace-vs-tap split and the exemplar trace read them.
+        let tel = Telemetry::recording();
 
         // ---- RAN + EPC --------------------------------------------------
         let mut ran = Ran::build(&mut net, EpcConfig::default());

@@ -1663,7 +1663,7 @@ pub fn chaos_experiment_with(seed: u64, runner: &Runner, cfg: &ChaosConfig) -> C
         let mut qc = QueryClient::new(plan);
         qc.engine_mut().query_timeout = SimDuration::from_millis(500);
         qc.engine_mut().retries = 0;
-        let telemetry = netsim::Telemetry::new();
+        let telemetry = netsim::Telemetry::default();
         qc.engine_mut().set_telemetry(telemetry.clone());
         let client = net.add_node("ue", ["172.16.0.9".parse::<IpAddr>().unwrap()], qc);
         let mec_link =

@@ -440,7 +440,7 @@ fn run_deployment(kind: Kind, trial_seed: u64, cfg: &FederationConfig) -> Federa
     let mut qc = QueryClient::new(plan);
     qc.engine_mut().query_timeout = cfg.query_timeout;
     qc.engine_mut().retries = cfg.retries;
-    let telemetry = netsim::Telemetry::new();
+    let telemetry = netsim::Telemetry::default();
     qc.engine_mut().set_telemetry(telemetry.clone());
     let ue = ran.attach_ue(&mut net, "ue", qc, enb_a, RadioProfile::Lte);
 

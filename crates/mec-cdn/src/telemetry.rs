@@ -14,6 +14,7 @@
 
 use crate::deployments::Deployment;
 use crate::measurement::{split_from_traces, split_wireless, MeasuredQuery};
+use netsim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// One counter at harvest time.
@@ -127,15 +128,14 @@ impl TrialTelemetry {
         });
         let histograms = d.telemetry.with_metrics(|m| {
             m.histograms()
-                .map(|(name, values)| {
-                    let ms: Vec<f64> = values.iter().map(|v| v.as_millis_f64()).collect();
-                    HistogramSample {
-                        name: name.to_string(),
-                        count: ms.len(),
-                        mean_ms: ms.iter().sum::<f64>() / ms.len().max(1) as f64,
-                        min_ms: ms.iter().copied().fold(f64::INFINITY, f64::min),
-                        max_ms: ms.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                    }
+                .map(|(name, h)| HistogramSample {
+                    name: name.to_string(),
+                    count: h.count() as usize,
+                    mean_ms: h.mean_ms(),
+                    min_ms: h.min().map_or(f64::INFINITY, SimDuration::as_millis_f64),
+                    max_ms: h
+                        .max()
+                        .map_or(f64::NEG_INFINITY, SimDuration::as_millis_f64),
                 })
                 .collect()
         });

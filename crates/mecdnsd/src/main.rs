@@ -10,6 +10,10 @@
 //!                 [--timeout-ms N] [--json]
 //! mecdnsd smoke   [--queries N] [--shards N] [--clients N]
 //! ```
+//!
+//! An unknown subcommand or flag, a flag without its value, or a value
+//! that does not parse prints the reason and the usage to stderr and
+//! exits 2.
 
 use mecdnsd::{loadgen, serve, LoadgenConfig, ServeConfig};
 use std::net::SocketAddr;
@@ -29,16 +33,64 @@ fn main() {
     std::process::exit(run(&args));
 }
 
+/// A subcommand's flags: those that take a value, and switches.
+type Flags = (&'static [&'static str], &'static [&'static str]);
+
+const SERVE_FLAGS: Flags = (
+    &["--bind", "--port", "--shards", "--duration"],
+    &["--shared-socket", "--stats"],
+);
+const LOADGEN_FLAGS: Flags = (
+    &[
+        "--target",
+        "--queries",
+        "--clients",
+        "--names",
+        "--alpha",
+        "--seed",
+        "--timeout-ms",
+    ],
+    &["--json"],
+);
+const SMOKE_FLAGS: Flags = (&["--queries", "--shards", "--clients"], &[]);
+
 fn run(args: &[String]) -> i32 {
-    match args.first().map(String::as_str) {
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("smoke") => cmd_smoke(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
-            2
+    let Some((sub, rest)) = args.split_first() else {
+        return usage_error("missing subcommand");
+    };
+    let (cmd, flags): (fn(&[String]) -> i32, Flags) = match sub.as_str() {
+        "serve" => (cmd_serve, SERVE_FLAGS),
+        "loadgen" => (cmd_loadgen, LOADGEN_FLAGS),
+        "smoke" => (cmd_smoke, SMOKE_FLAGS),
+        other => return usage_error(&format!("unknown subcommand `{other}`")),
+    };
+    match check_flags(rest, flags) {
+        Ok(()) => cmd(rest),
+        Err(reason) => usage_error(&format!("{sub}: {reason}")),
+    }
+}
+
+/// Rejects anything but `flags`, and a value flag without its value.
+fn check_flags(args: &[String], (values, switches): Flags) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if values.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{arg} needs a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown flag `{arg}`"));
         }
     }
+    Ok(())
+}
+
+/// Prints `reason` and the usage to stderr; the exit code for input
+/// the binary does not understand.
+fn usage_error(reason: &str) -> i32 {
+    eprintln!("mecdnsd: {reason}");
+    eprintln!("{USAGE}");
+    2
 }
 
 /// Pulls the value after `flag` out of `args`, parsed; `None` when the
@@ -75,10 +127,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         Ok(opt_value(args, "--duration")?.unwrap_or(0))
     })() {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("mecdnsd serve: {e}");
-            return 2;
-        }
+        Err(e) => return usage_error(&format!("serve: {e}")),
     };
     let handle = match serve::spawn(config) {
         Ok(h) => h,
@@ -111,10 +160,7 @@ fn cmd_loadgen(args: &[String]) -> i32 {
         if arg == "--target" {
             match args.get(i + 1).map(|v| v.parse::<SocketAddr>()) {
                 Some(Ok(addr)) => config.targets.push(addr),
-                _ => {
-                    eprintln!("mecdnsd loadgen: --target needs host:port");
-                    return 2;
-                }
+                _ => return usage_error("loadgen: --target needs host:port"),
             }
         }
     }
@@ -139,8 +185,7 @@ fn cmd_loadgen(args: &[String]) -> i32 {
         }
         Ok(())
     })() {
-        eprintln!("mecdnsd loadgen: {e}");
-        return 2;
+        return usage_error(&format!("loadgen: {e}"));
     }
     let report = match loadgen::run(&config) {
         Ok(r) => r,
@@ -189,26 +234,15 @@ fn loadgen_json(report: &mecdnsd::LoadReport) -> String {
 /// In-process server + load generator over loopback, with hard
 /// assertions: the CI smoke gate.
 fn cmd_smoke(args: &[String]) -> i32 {
-    let queries = match opt_value(args, "--queries") {
-        Ok(v) => v.unwrap_or(10_000),
-        Err(e) => {
-            eprintln!("mecdnsd smoke: {e}");
-            return 2;
-        }
-    };
-    let shards = match opt_value(args, "--shards") {
-        Ok(v) => v.unwrap_or(2),
-        Err(e) => {
-            eprintln!("mecdnsd smoke: {e}");
-            return 2;
-        }
-    };
-    let clients = match opt_value(args, "--clients") {
-        Ok(v) => v.unwrap_or(8),
-        Err(e) => {
-            eprintln!("mecdnsd smoke: {e}");
-            return 2;
-        }
+    let (queries, shards, clients) = match (|| -> Result<_, String> {
+        Ok((
+            opt_value(args, "--queries")?.unwrap_or(10_000),
+            opt_value(args, "--shards")?.unwrap_or(2),
+            opt_value(args, "--clients")?.unwrap_or(8),
+        ))
+    })() {
+        Ok(v) => v,
+        Err(e) => return usage_error(&format!("smoke: {e}")),
     };
     let handle = match serve::spawn(ServeConfig {
         shards,

@@ -104,12 +104,12 @@ impl PgwNat {
         let id = u64::from(id);
         if dgram.dst_port == 53 {
             self.telemetry
-                .mark(id, now, "pgw.uplink", dgram.dst.to_string());
+                .mark(id, now, "pgw.uplink", || dgram.dst.to_string());
             self.first_uplink.entry(id).or_insert(now);
         }
         if dgram.src_port == 53 {
             self.telemetry
-                .mark(id, now, "pgw.downlink", dgram.src.to_string());
+                .mark(id, now, "pgw.downlink", || dgram.src.to_string());
             if let Some(&up) = self.first_uplink.get(&id) {
                 self.telemetry.observe("pgw.behind_gw", now.since(up));
             }

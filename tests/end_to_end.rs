@@ -193,8 +193,8 @@ fn telemetry_counters_narrate_the_query_path() {
     assert_eq!(tel.counter("dns.upstream.query"), 8);
     assert_eq!(tel.counter("cdns.answered"), answered);
     assert_eq!(
-        tel.with_metrics(|m| m.histogram("stub.rtt").len()),
-        answered as usize,
+        tel.with_metrics(|m| m.histogram("stub.rtt").count()),
+        answered,
         "one rtt observation per answered query"
     );
 }
