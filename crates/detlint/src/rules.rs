@@ -174,6 +174,9 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/dns-server/src/stub.rs",
     "crates/dns-server/src/plugins.rs",
     "crates/dns-server/src/engine.rs",
+    // The resolver core both engines run: upstream answers are outside
+    // input, and every forward and recursion step runs here.
+    "crates/dns-server/src/resolver.rs",
     "crates/netsim/src/network.rs",
     // The timing wheel carries every event of every simulation; a panic
     // or stray index here is a panic in all of them.

@@ -1,24 +1,22 @@
-//! A synchronous, transport-facing resolution engine.
-//!
-//! [`crate::server::DnsServer`] runs the plugin chain as a simulator
-//! node: forwards become virtual datagrams, timeouts become virtual
-//! timers. A real UDP server (the `mecdnsd` binary) needs the same
-//! chain behind a plain function call instead: bytes in, a [`Message`]
-//! out, no event loop. [`ServeEngine`] is that call. The paper's MEC
-//! deployment co-locates the L-DNS and the C-DNS on one box, so the
-//! "upstream" a front-chain [`PluginDecision::Forward`] names is served
-//! by another in-process chain — no sockets, no retries, and cache
-//! fills flow through the front chain's [`Plugin::on_response`] exactly
-//! as they would for a wire response.
-//!
-//! The engine is on the resolution hot path (`hot-panic` / `hot-index`
-//! apply): a malformed or hostile query must never panic the serving
-//! thread.
+//! The resolver core behind a plain synchronous call — a decoded query in,
+//! a [`Message`] out — for a real UDP server (the `mecdnsd` binary). The
+//! paper's MEC box co-locates the L-DNS and the C-DNS, so the upstream a
+//! front-chain forward names is another core in the same process: each
+//! upstream query goes to the backend core at its address, and its answer
+//! back to the front core (cache fills included). No backend there, or one
+//! that ignores the query, is an immediate timeout, not retried: an
+//! in-process backend would do the same again. On the resolution hot path
+//! (`hot-panic` / `hot-index` apply): no query may panic the serving thread.
 
-use crate::plugin::{Plugin, PluginDecision, QueryCtx};
-use dns_wire::{Message, Opt, Rcode};
+use crate::plugin::Plugin;
+use crate::resolver::{Action, Client, Resolver};
+use crate::server::ServerConfig;
+use dns_wire::{Message, Rcode};
 use netsim::{SimTime, Telemetry};
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
+
+/// The front core's address: that is the transport's business.
+const FRONT: IpAddr = IpAddr::V4(Ipv4Addr::UNSPECIFIED);
 
 /// Hops a query may take between in-process backends before the engine
 /// declares a forwarding loop. Real deployments here are one hop
@@ -70,41 +68,47 @@ impl RcodeCounts {
 /// clients, plus backend chains addressable by the IPs front-chain
 /// plugins forward to.
 pub struct ServeEngine {
-    front: Vec<Box<dyn Plugin>>,
-    /// In-process "upstreams", looked up linearly — deployments here
-    /// have one or two. Ordered, so behaviour never depends on map
-    /// iteration order.
-    backends: Vec<(IpAddr, Vec<Box<dyn Plugin>>)>,
-    telemetry: Telemetry,
+    /// A core per chain: `cores[0]` faces clients, the rest answer upstream
+    /// queries sent to their address (looked up linearly and in order).
+    cores: Vec<(IpAddr, Resolver)>,
+    actions: Vec<Action>,
     /// Responses tallied by rcode.
     pub rcodes: RcodeCounts,
     /// Queries accepted into the chain.
     pub queries: u64,
-    /// Queries dropped by a [`PluginDecision::Ignore`].
+    /// Queries dropped by a [`crate::PluginDecision::Ignore`].
     pub ignored: u64,
 }
 
 impl ServeEngine {
     /// An engine with the given client-facing chain and no backends.
     pub fn new(front: Vec<Box<dyn Plugin>>) -> Self {
-        ServeEngine {
-            front,
-            backends: Vec::new(),
-            telemetry: Telemetry::default(),
+        let engine = ServeEngine {
+            cores: Vec::new(),
+            actions: Vec::with_capacity(4),
             rcodes: RcodeCounts::default(),
             queries: 0,
             ignored: 0,
-        }
+        };
+        // The first core registered is `cores[0]`, the client-facing one.
+        engine.with_backend(FRONT, front)
     }
 
     /// Registers the chain that answers forwards addressed to `addr`.
     /// Builder-style; a later chain on the same address replaces the
     /// earlier one.
     pub fn with_backend(mut self, addr: IpAddr, chain: Vec<Box<dyn Plugin>>) -> Self {
-        if let Some(slot) = self.backends.iter_mut().find(|(ip, _)| *ip == addr) {
-            slot.1 = chain;
-        } else {
-            self.backends.push((addr, chain));
+        let config = ServerConfig {
+            upstream_retries: 0,
+            ..ServerConfig::default()
+        };
+        let mut core = Resolver::new(config, chain);
+        if let Some((_, front)) = self.cores.first() {
+            core.telemetry = front.telemetry.clone();
+        }
+        match self.cores.iter_mut().skip(1).find(|(a, _)| *a == addr) {
+            Some(slot) => *slot = (addr, core),
+            None => self.cores.push((addr, core)),
         }
         self
     }
@@ -112,15 +116,16 @@ impl ServeEngine {
     /// Routes the engine's counters into `t` (per-shard registries are
     /// merged at shutdown).
     pub fn with_telemetry(mut self, t: Telemetry) -> Self {
-        self.telemetry = t;
+        for (_, c) in &mut self.cores {
+            c.telemetry = t.clone();
+        }
         self
     }
 
     /// Immutable access to a front-chain plugin by index, downcast to
     /// its concrete type (test assertions on plugin-internal counters).
     pub fn front_plugin<P: Plugin + 'static>(&self, index: usize) -> Option<&P> {
-        let p: &dyn Plugin = self.front.get(index)?.as_ref();
-        (p as &dyn std::any::Any).downcast_ref::<P>()
+        self.cores.first()?.1.plugin(index)
     }
 
     /// Resolves one client query to the response that should go back on
@@ -135,124 +140,73 @@ impl ServeEngine {
         query: &Message,
     ) -> Option<Message> {
         self.queries += 1;
-        let ctx = QueryCtx {
-            now,
-            client,
-            client_port,
-            telemetry: self.telemetry.clone(),
+        let client = Client {
+            addr: client,
+            port: client_port,
+            local: FRONT,
         };
-        let mut decision = PluginDecision::Continue;
-        for p in &mut self.front {
-            decision = p.on_query(&ctx, query);
-            if !matches!(decision, PluginDecision::Continue) {
-                break;
-            }
+        let response = self.exchange(0, 0, now, client, query);
+        match &response {
+            Some(r) => self.rcodes.count(r.header.rcode),
+            None => self.ignored += 1,
         }
-        let mut response = match decision {
-            PluginDecision::Respond(mut resp) => {
-                resp.header.id = query.header.id;
-                resp
-            }
-            PluginDecision::Forward { upstream } => self.forward(&ctx, query, upstream),
-            PluginDecision::Recurse { .. } => {
-                // Iterative recursion needs upstream sockets this
-                // in-process engine does not own; the transport layer
-                // would have to provide them. Until it does: SERVFAIL,
-                // never silence.
-                Message::response_to(query).with_rcode(Rcode::ServFail)
-            }
-            PluginDecision::Ignore => {
-                self.ignored += 1;
-                return None;
-            }
-            PluginDecision::Continue => {
-                // Off the end of the chain: refuse, like the simulator.
-                Message::response_to(query).with_rcode(Rcode::Refused)
-            }
-        };
-        // Echo the client's ECS option if the response does not already
-        // scope itself (RFC 7871 §7.2.2).
-        if response.edns.as_ref().and_then(|o| o.client_subnet()).is_none() {
-            if let Some(cs) = query.client_subnet() {
-                response.edns = Some(Opt::with_client_subnet(*cs));
-            }
-        }
-        self.rcodes.count(response.header.rcode);
-        Some(response)
+        response
     }
 
-    /// Dispatches a forward to the in-process backend chain at
-    /// `upstream`, following chained forwards up to the hop budget. The
-    /// backend's answer is shown to the front chain's `on_response`
-    /// (cache fill) before it is returned.
-    fn forward(&mut self, ctx: &QueryCtx, query: &Message, mut upstream: IpAddr) -> Message {
-        for _ in 0..MAX_FORWARD_HOPS {
-            let Some(chain) = self
-                .backends
-                .iter_mut()
-                .find(|(ip, _)| *ip == upstream)
-                .map(|(_, c)| c)
-            else {
-                // Nothing answers at that address: the upstream is dead
-                // as far as this process is concerned. Tell the front
-                // chain (health trackers) and fail the query.
-                self.telemetry.incr("serve.upstream.unreachable");
-                for p in &mut self.front {
-                    p.on_upstream_event(ctx.now, upstream, false);
+    /// Runs core `at` on `query` until it answers: each upstream query it
+    /// sends goes to the backend core at that address, `hops` deep, and
+    /// the backend's answer (or, when there is none, the attempt's
+    /// timeout) goes back to it. `None` when the chain ignored the query.
+    fn exchange(
+        &mut self,
+        at: usize,
+        hops: usize,
+        now: SimTime,
+        client: Client,
+        query: &Message,
+    ) -> Option<Message> {
+        let base = self.actions.len();
+        let (_, core) = self.cores.get_mut(at)?;
+        core.on_query(now, client, query, &mut self.actions);
+        while self.actions.len() > base {
+            match self.actions.remove(base) {
+                Action::Reply { msg, .. } => {
+                    // The core answers a query once.
+                    self.actions.truncate(base);
+                    return Some(msg);
                 }
-                return Message::response_to(query).with_rcode(Rcode::ServFail);
-            };
-            let mut decision = PluginDecision::Continue;
-            for p in chain.iter_mut() {
-                decision = p.on_query(ctx, query);
-                if !matches!(decision, PluginDecision::Continue) {
-                    break;
-                }
-            }
-            let mut resp = match decision {
-                PluginDecision::Respond(resp) => resp,
-                PluginDecision::Forward { upstream: next } => {
-                    upstream = next;
-                    continue;
-                }
-                PluginDecision::Ignore => {
-                    // The backend dropped the query: to the front chain
-                    // that is indistinguishable from a dead upstream.
-                    self.telemetry.incr("serve.upstream.silent");
-                    for p in &mut self.front {
-                        p.on_upstream_event(ctx.now, upstream, false);
+                Action::Send { to, msg, timer, .. } => {
+                    let backend = self.cores.iter().skip(1).position(|(a, _)| *a == to);
+                    let reply = match backend {
+                        // The backend's chain sees the original client.
+                        Some(i) if hops < MAX_FORWARD_HOPS => {
+                            let client = Client {
+                                local: to,
+                                ..client
+                            };
+                            self.exchange(i + 1, hops + 1, now, client, &msg)
+                        }
+                        _ => None,
+                    };
+                    let Some((_, core)) = self.cores.get_mut(at) else {
+                        break;
+                    };
+                    core.recycle(msg);
+                    match reply {
+                        Some(resp) => core.on_response(now, resp, &mut self.actions),
+                        None => core.on_timer(now, timer, &mut self.actions),
                     }
-                    return Message::response_to(query).with_rcode(Rcode::ServFail);
                 }
-                PluginDecision::Recurse { .. } => {
-                    Message::response_to(query).with_rcode(Rcode::ServFail)
-                }
-                PluginDecision::Continue => {
-                    Message::response_to(query).with_rcode(Rcode::Refused)
-                }
-            };
-            resp.header.id = query.header.id;
-            resp.questions = query.questions.clone();
-            self.telemetry.incr("serve.upstream.answer");
-            for p in &mut self.front {
-                p.on_upstream_event(ctx.now, upstream, true);
             }
-            for p in &mut self.front {
-                p.on_response(ctx, &mut resp);
-            }
-            return resp;
         }
-        // Hop budget exhausted: a forwarding loop among the backends.
-        self.telemetry.incr("serve.upstream.loop");
-        Message::response_to(query).with_rcode(Rcode::ServFail)
+        None
     }
 }
 
 impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeEngine")
-            .field("front", &self.front.len())
-            .field("backends", &self.backends.len())
+            .field("backends", &self.cores.len().saturating_sub(1))
             .field("queries", &self.queries)
             .field("rcodes", &self.rcodes)
             .finish()
@@ -262,6 +216,7 @@ impl std::fmt::Debug for ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plugin::{PluginDecision, QueryCtx};
     use crate::plugins::{AuthoritativePlugin, CachePlugin, StubDomainPlugin};
     use crate::zone::Zone;
     use dns_wire::{Name, RrType};

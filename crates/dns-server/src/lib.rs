@@ -15,22 +15,28 @@
 //!   [`plugins::StubDomainPlugin`] (the CoreDNS stub-domain mechanism the
 //!   prototype uses to hand the CDN zone to the Traffic Router),
 //!   [`plugins::ForwardPlugin`] and [`plugins::AuthoritativePlugin`].
-//! * [`server::DnsServer`] — a [`netsim::NodeBehavior`] that runs a
-//!   plugin chain with a per-query processing-delay model, forwarding
-//!   state, retries, and a full **iterative resolver** (root → TLD →
-//!   authoritative, CNAME chasing, glue handling) for the
-//!   [`plugins::RecursePlugin`].
+//! * One transport-free resolver core (crate-private) runs every plugin
+//!   chain: events in (a client query, an upstream response, a
+//!   retransmit timer, each with the caller's `now`), actions out (answer
+//!   a client; send an upstream query and arm its timer). Forwarding,
+//!   upstream ids, retries, ECS attach/strip/echo and a full **iterative
+//!   resolver** (root → TLD → authoritative, CNAME chasing, glue
+//!   handling) for the [`plugins::RecursePlugin`] live there once.
+//! * [`server::DnsServer`] — the core as a [`netsim::NodeBehavior`]:
+//!   actions become virtual datagrams and timers, behind a per-query
+//!   processing-delay model and an optional single-worker queue.
 //! * [`stub::StubEngine`] — the client side: unicast, multicast (the
 //!   paper's "DNS requests be multicast to both MEC DNS and the
 //!   network's L-DNS") and fallback-on-timeout strategies, with RTT
 //!   measurement per query.
 //! * EDNS Client Subnet end to end: stubs and forwarders can attach ECS,
 //!   servers model its extra processing cost, and answers can be scoped.
-//! * [`engine::ServeEngine`] — the same plugin chain behind a plain
-//!   synchronous call for real transports: the `mecdnsd` binary decodes
-//!   a UDP datagram, calls [`engine::ServeEngine::resolve`], and encodes
-//!   the answer with `Message::encode_bounded` (TC-bit truncation to the
-//!   client's payload budget).
+//! * [`engine::ServeEngine`] — the same core behind a plain synchronous
+//!   call for real transports: the `mecdnsd` binary decodes a UDP
+//!   datagram, calls [`engine::ServeEngine::resolve`], and encodes the
+//!   answer with `Message::encode_bounded` (TC-bit truncation to the
+//!   client's payload budget). Its upstreams are in-process backend
+//!   cores; a missing or silent one is an immediate timeout.
 //!
 //! # Omitted (deliberately)
 //!
@@ -43,6 +49,7 @@ pub mod cache;
 pub mod engine;
 pub mod plugin;
 pub mod plugins;
+mod resolver;
 pub mod server;
 pub mod stub;
 pub mod zone;

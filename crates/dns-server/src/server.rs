@@ -1,11 +1,13 @@
-//! The DNS server node behavior: plugin chain, processing-delay model,
-//! forwarding and full iterative recursion.
+//! The DNS server node behavior: the [`crate::resolver::Resolver`] core
+//! behind a processing-delay model, as a simulator node.
 
-use crate::plugin::{Plugin, PluginDecision, QueryCtx};
-use dns_wire::{ClientSubnet, Message, Name, Opt, Rcode, Record, RrType};
-use netsim::{Datagram, Latency, NodeBehavior, NodeContext, SimDuration, Telemetry, TimerToken};
+use crate::plugin::Plugin;
+use crate::resolver::{Action, Client, Resolver};
+use dns_wire::{Message, Rcode};
+use netsim::{
+    Datagram, Latency, NodeBehavior, NodeContext, SimDuration, SimTime, Telemetry, TimerToken,
+};
 use std::collections::HashMap;
-use std::net::IpAddr;
 
 /// Timer-data tag for queued inbound queries.
 const TAG_INBOX: u64 = 0x1 << 56;
@@ -57,56 +59,24 @@ impl Default for ServerConfig {
     }
 }
 
-struct RecurseJob {
-    roots: Vec<IpAddr>,
-    servers: Vec<IpAddr>,
-    server_idx: usize,
-    current_name: Name,
-    cname_count: u8,
-    acc: Vec<Record>,
-}
-
-enum JobKind {
-    Forward { upstream: IpAddr },
-    Recurse(RecurseJob),
-}
-
-struct Job {
-    /// Reply template: the original datagram the query arrived in.
-    reply_to: Datagram,
-    /// The client's original query (id, question, ECS...).
-    query: Message,
-    kind: JobKind,
-    upstream_id: u16,
-    attempts_left: u8,
-}
-
-/// A DNS server as a simulator node behavior.
-///
-/// Queries pass through the plugin chain after a sampled processing
-/// delay; [`PluginDecision::Forward`] and [`PluginDecision::Recurse`]
-/// run asynchronously with timeouts and retries, and their responses are
-/// shown to every plugin's `on_response` (filling caches) before being
-/// relayed to the client.
+/// A DNS server as a simulator node behavior: the resolver core, with
+/// forwarding, retries and recursion on virtual datagrams and timers,
+/// behind a sampled processing delay (optionally queued on one worker),
+/// the wire codec and the crash model of [`NodeBehavior::on_restart`].
 pub struct DnsServer {
-    config: ServerConfig,
-    plugins: Vec<Box<dyn Plugin>>,
-    telemetry: Telemetry,
+    core: Resolver,
     /// Queries waiting out their processing delay, decoded on arrival.
-    inbox: HashMap<u64, (Datagram, Message)>,
+    inbox: HashMap<u64, (Client, Message)>,
     next_inbox: u64,
-    jobs: HashMap<u64, Job>,
-    id_to_gen: HashMap<u16, u64>,
-    next_gen: u64,
-    next_id: u16,
     /// When the single worker next becomes free (see
     /// [`ServerConfig::single_worker`]).
-    busy_until: netsim::SimTime,
+    busy_until: SimTime,
+    actions: Vec<Action>,
     /// Queries received (valid DNS only).
     pub queries_received: u64,
     /// Responses sent to clients.
     pub responses_sent: u64,
-    /// Queries dropped by a [`PluginDecision::Ignore`].
+    /// Queries dropped by a [`crate::PluginDecision::Ignore`].
     pub queries_ignored: u64,
     /// Upstream exchanges that timed out (per attempt).
     pub upstream_timeouts: u64,
@@ -118,16 +88,11 @@ impl DnsServer {
     /// Creates a server with the given plugin chain.
     pub fn new(config: ServerConfig, plugins: Vec<Box<dyn Plugin>>) -> Self {
         DnsServer {
-            config,
-            plugins,
-            telemetry: Telemetry::default(),
+            core: Resolver::new(config, plugins),
             inbox: HashMap::new(),
             next_inbox: 0,
-            jobs: HashMap::new(),
-            id_to_gen: HashMap::new(),
-            next_gen: 0,
-            next_id: 1,
-            busy_until: netsim::SimTime::ZERO,
+            busy_until: SimTime::ZERO,
+            actions: Vec::new(),
             queries_received: 0,
             responses_sent: 0,
             queries_ignored: 0,
@@ -139,376 +104,51 @@ impl DnsServer {
     /// Routes this server's (and its plugins') telemetry into `t`.
     /// Builder-style so deployment code can chain it onto `new`.
     pub fn with_telemetry(mut self, t: Telemetry) -> Self {
-        self.telemetry = t;
+        self.core.telemetry = t;
         self
     }
 
     /// Immutable access to a plugin by index (for test assertions on
     /// plugin-internal counters).
     pub fn plugin<P: Plugin + 'static>(&self, index: usize) -> Option<&P> {
-        let p: &dyn Plugin = self.plugins.get(index)?.as_ref();
-        (p as &dyn std::any::Any).downcast_ref::<P>()
+        self.core.plugin(index)
     }
 
-    fn alloc_id(&mut self) -> u16 {
-        // Skip ids currently in flight.
-        for _ in 0..=u16::MAX {
-            let id = self.next_id;
-            self.next_id = self.next_id.wrapping_add(1).max(1);
-            if !self.id_to_gen.contains_key(&id) {
-                return id;
-            }
-        }
-        // detlint: allow(hot-panic) — the full u16 id space in flight
-        // means the workload model is broken; reusing a live id would
-        // silently cross-wire responses, which is worse than aborting.
-        panic!("65535 concurrent upstream queries");
-    }
-
-    /// The upstream server a job is currently waiting on.
-    fn current_target(job: &Job) -> IpAddr {
-        match &job.kind {
-            JobKind::Forward { upstream } => *upstream,
-            JobKind::Recurse(r) => r.servers[r.server_idx],
-        }
-    }
-
-    /// Tells every plugin how an upstream exchange ended (see
-    /// [`Plugin::on_upstream_event`]) — one event per exchange, not per
-    /// retry attempt.
-    fn notify_upstream(&mut self, now: netsim::SimTime, upstream: IpAddr, ok: bool) {
-        for p in &mut self.plugins {
-            p.on_upstream_event(now, upstream, ok);
-        }
-    }
-
-    fn ctx_for(&self, now: netsim::SimTime, reply_to: &Datagram) -> QueryCtx {
-        QueryCtx {
-            now,
-            client: reply_to.src,
-            client_port: reply_to.src_port,
-            telemetry: self.telemetry.clone(),
-        }
-    }
-
-    /// Sends `resp` back to the client; `client_ecs` is the ECS option
-    /// the client's query carried.
-    fn respond(
-        &mut self,
-        ctx: &mut NodeContext<'_>,
-        reply_to: &Datagram,
-        client_ecs: Option<ClientSubnet>,
-        mut resp: Message,
-    ) {
-        // Echo the client's ECS option if the response does not already
-        // carry one (RFC 7871 §7.2.2).
-        if resp.edns.as_ref().and_then(|o| o.client_subnet()).is_none() {
-            if let Some(cs) = client_ecs {
-                resp.edns = Some(Opt::with_client_subnet(cs));
-            }
-        }
-        match resp.encode() {
-            Ok(bytes) => {
-                ctx.send_datagram(reply_to.reply_with(bytes));
-                self.responses_sent += 1;
-            }
-            Err(_) => {
-                // Encoding failures are server bugs; surface as SERVFAIL.
-                let mut sf = Message::response_to(&resp).with_rcode(Rcode::ServFail);
-                sf.answers.clear();
-                if let Ok(bytes) = sf.encode() {
-                    ctx.send_datagram(reply_to.reply_with(bytes));
-                    self.responses_sent += 1;
-                }
-            }
-        }
-    }
-
-    fn upstream_query(&self, query: &Message, id: u16, client: IpAddr, qname: &Name) -> Message {
-        let mut up = Message::query(id, qname.clone(), query.question().map_or(RrType::A, |q| q.qtype));
-        up.header.recursion_desired = query.header.recursion_desired;
-        // ECS: propagate the client's option (unless this server is a
-        // hidden resolver that strips it), or synthesise one.
-        if let (Some(cs), false) = (query.client_subnet(), self.config.strip_ecs) {
-            up = up.with_client_subnet(*cs);
-        } else if self.config.attach_ecs {
-            let prefix = match client {
-                IpAddr::V4(_) => 24,
-                IpAddr::V6(_) => 56,
-            };
-            up = up.with_client_subnet(ClientSubnet::query(client, prefix));
-        }
-        up
-    }
-
-    fn send_upstream(
-        &mut self,
-        ctx: &mut NodeContext<'_>,
-        gen: u64,
-        upstream: IpAddr,
-        msg: &Message,
-    ) {
-        let bytes = msg.encode().expect("upstream query encodes");
-        ctx.send(upstream, 53, bytes);
-        ctx.set_timer(self.config.upstream_timeout, TAG_PENDING | gen);
-    }
-
-    fn start_job(
-        &mut self,
-        ctx: &mut NodeContext<'_>,
-        reply_to: Datagram,
-        query: Message,
-        kind: JobKind,
-    ) {
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        let id = self.alloc_id();
-        let (target, qname) = match &kind {
-            JobKind::Forward { upstream } => (
-                *upstream,
-                query.question().map(|q| q.qname.clone()).unwrap_or_else(Name::root),
-            ),
-            JobKind::Recurse(r) => (r.servers[r.server_idx], r.current_name.clone()),
-        };
-        let up = self.upstream_query(&query, id, reply_to.src, &qname);
-        self.telemetry.incr("dns.upstream.query");
-        self.telemetry.mark(
-            u64::from(query.header.id),
-            ctx.now(),
-            "server.forward",
-            || target.to_string(),
-        );
-        let job = Job {
-            reply_to,
-            query,
-            kind,
-            upstream_id: id,
-            attempts_left: self.config.upstream_retries,
-        };
-        self.jobs.insert(gen, job);
-        self.id_to_gen.insert(id, gen);
-        self.send_upstream(ctx, gen, target, &up);
-    }
-
-    /// Re-sends the current hop of a job under a fresh transaction id.
-    fn resend_job(&mut self, ctx: &mut NodeContext<'_>, gen: u64) {
-        let id = self.alloc_id();
-        let (old_id, target, qname, query, client) = {
-            let Some(job) = self.jobs.get_mut(&gen) else {
-                return;
-            };
-            let old = job.upstream_id;
-            job.upstream_id = id;
-            let (target, qname) = match &job.kind {
-                JobKind::Forward { upstream } => (
-                    *upstream,
-                    job.query
-                        .question()
-                        .map(|q| q.qname.clone())
-                        .unwrap_or_else(Name::root),
-                ),
-                JobKind::Recurse(r) => (r.servers[r.server_idx], r.current_name.clone()),
-            };
-            (old, target, qname, job.query.clone(), job.reply_to.src)
-        };
-        self.id_to_gen.remove(&old_id);
-        let up = self.upstream_query(&query, id, client, &qname);
-        self.id_to_gen.insert(id, gen);
-        self.send_upstream(ctx, gen, target, &up);
-    }
-
-    fn finish_job(
-        &mut self,
-        ctx: &mut NodeContext<'_>,
-        gen: u64,
-        mut response: Message,
-    ) {
-        let Some(job) = self.jobs.remove(&gen) else {
-            return;
-        };
-        self.id_to_gen.remove(&job.upstream_id);
-        // Restore the client's transaction id and question.
-        response.header.id = job.query.header.id;
-        response.questions = job.query.questions.clone();
-        let qctx = self.ctx_for(ctx.now(), &job.reply_to);
-        for p in &mut self.plugins {
-            p.on_response(&qctx, &mut response);
-        }
-        let client_ecs = job.query.client_subnet().copied();
-        self.respond(ctx, &job.reply_to, client_ecs, response);
-    }
-
-    fn fail_job(&mut self, ctx: &mut NodeContext<'_>, gen: u64) {
-        let Some(job) = self.jobs.remove(&gen) else {
-            return;
-        };
-        self.id_to_gen.remove(&job.upstream_id);
-        let resp = Message::response_to(&job.query).with_rcode(Rcode::ServFail);
-        self.respond(ctx, &job.reply_to, job.query.client_subnet().copied(), resp);
-    }
-
-    fn process_query(&mut self, ctx: &mut NodeContext<'_>, dgram: Datagram, query: Message) {
-        let client_ecs = query.client_subnet().copied();
-        let qctx = self.ctx_for(ctx.now(), &dgram);
-        let mut decision = PluginDecision::Continue;
-        for p in &mut self.plugins {
-            decision = p.on_query(&qctx, &query);
-            if !matches!(decision, PluginDecision::Continue) {
-                break;
-            }
-        }
-        match decision {
-            PluginDecision::Respond(mut resp) => {
-                resp.header.id = query.header.id;
-                self.respond(ctx, &dgram, client_ecs, resp);
-            }
-            PluginDecision::Forward { upstream } => {
-                self.start_job(ctx, dgram, query, JobKind::Forward { upstream });
-            }
-            PluginDecision::Recurse { roots } => {
-                let qname = query
-                    .question()
-                    .map(|q| q.qname.clone())
-                    .unwrap_or_else(Name::root);
-                let job = RecurseJob {
-                    servers: roots.clone(),
-                    roots,
-                    server_idx: 0,
-                    current_name: qname,
-                    cname_count: 0,
-                    acc: Vec::new(),
-                };
-                self.start_job(ctx, dgram, query, JobKind::Recurse(job));
-            }
-            PluginDecision::Ignore => {
-                self.queries_ignored += 1;
-            }
-            PluginDecision::Continue => {
-                // Off the end of the chain: refuse.
-                let resp = Message::response_to(&query).with_rcode(Rcode::Refused);
-                self.respond(ctx, &dgram, client_ecs, resp);
-            }
-        }
-    }
-
-    fn handle_upstream_response(&mut self, ctx: &mut NodeContext<'_>, msg: Message) {
-        let Some(&gen) = self.id_to_gen.get(&msg.header.id) else {
-            return; // late or spoofed; drop
-        };
-        if let Some(job) = self.jobs.get(&gen) {
-            let target = Self::current_target(job);
-            self.notify_upstream(ctx.now(), target, true);
-        }
-        enum Act {
-            Finish(Message),
-            FailHard,
-            TryNextServer,
-            Rehop,
-        }
-        let act = {
-            let job = self.jobs.get_mut(&gen).expect("job for live id");
-            match &mut job.kind {
-                JobKind::Forward { .. } => Act::Finish(msg),
-                JobKind::Recurse(r) => {
-                    let qtype = job.query.question().map_or(RrType::A, |q| q.qtype);
-                    if msg.header.rcode == Rcode::NxDomain {
-                        let mut resp = msg;
-                        let mut answers = std::mem::take(&mut r.acc);
-                        answers.extend(std::mem::take(&mut resp.answers));
-                        resp.answers = answers;
-                        Act::Finish(resp)
-                    } else if msg.header.rcode != Rcode::NoError {
-                        // Treat as a dead server: try the next one.
-                        Act::TryNextServer
-                    } else if msg.answers.iter().any(|rec| rec.rrtype() == qtype) {
-                        let mut resp = msg;
-                        let mut answers = std::mem::take(&mut r.acc);
-                        answers.extend(std::mem::take(&mut resp.answers));
-                        resp.answers = answers;
-                        Act::Finish(resp)
-                    } else if let Some(c) = msg
-                        .answers
-                        .iter()
-                        .find(|rec| rec.rrtype() == RrType::Cname)
-                        .cloned()
-                    {
-                        // CNAME without the final type: chase it.
-                        if r.cname_count >= 8 {
-                            Act::FailHard
-                        } else {
-                            r.cname_count += 1;
-                            if let dns_wire::RData::Cname(target) = &c.rdata {
-                                r.current_name = target.clone();
-                            }
-                            r.acc.push(c);
-                            r.servers = r.roots.clone();
-                            r.server_idx = 0;
-                            Act::Rehop
-                        }
-                    } else {
-                        let glue: Vec<IpAddr> = msg
-                            .additionals
-                            .iter()
-                            .filter_map(|rec| rec.rdata.as_a().map(IpAddr::V4))
-                            .collect();
-                        if !msg.authorities.is_empty() && !glue.is_empty() {
-                            // Referral: follow the glue.
-                            r.servers = glue;
-                            r.server_idx = 0;
-                            Act::Rehop
-                        } else {
-                            // NoData or glueless referral (not built in
-                            // this workspace's topologies): return what
-                            // we have.
-                            let mut resp = msg;
-                            let mut answers = std::mem::take(&mut r.acc);
-                            answers.extend(std::mem::take(&mut resp.answers));
-                            resp.answers = answers;
-                            Act::Finish(resp)
-                        }
+    /// Carries out the core's actions in the order emitted; copies its counters.
+    fn apply(&mut self, ctx: &mut NodeContext<'_>) {
+        self.queries_ignored = self.core.ignored;
+        self.upstream_timeouts = self.core.upstream_timeouts;
+        let port = self.core.config.port;
+        for action in self.actions.drain(..) {
+            match action {
+                Action::Reply { to, msg } => {
+                    // Encoding failures are server bugs; surface as SERVFAIL.
+                    let bytes = msg.encode().or_else(|_| {
+                        Message::response_to(&msg)
+                            .with_rcode(Rcode::ServFail)
+                            .encode()
+                    });
+                    if let Ok(payload) = bytes {
+                        ctx.send_datagram(Datagram {
+                            src: to.local,
+                            src_port: port,
+                            dst: to.addr,
+                            dst_port: to.port,
+                            payload,
+                        });
+                        self.responses_sent += 1;
                     }
                 }
-            }
-        };
-        match act {
-            Act::Finish(resp) => self.finish_job(ctx, gen, resp),
-            Act::FailHard => self.fail_job(ctx, gen),
-            Act::TryNextServer => self.advance_or_fail(ctx, gen),
-            Act::Rehop => self.rehop(ctx, gen),
-        }
-    }
-
-    /// Sends the next hop of a recursion under a fresh id, resetting the
-    /// retry budget.
-    fn rehop(&mut self, ctx: &mut NodeContext<'_>, gen: u64) {
-        if let Some(job) = self.jobs.get_mut(&gen) {
-            job.attempts_left = self.config.upstream_retries;
-        }
-        self.resend_job(ctx, gen);
-    }
-
-    /// Tries the next server in a recursion's current set, or fails.
-    fn advance_or_fail(&mut self, ctx: &mut NodeContext<'_>, gen: u64) {
-        let advanced = {
-            let Some(job) = self.jobs.get_mut(&gen) else {
-                return;
-            };
-            match &mut job.kind {
-                JobKind::Forward { .. } => false,
-                JobKind::Recurse(r) => {
-                    if r.server_idx + 1 < r.servers.len() {
-                        r.server_idx += 1;
-                        true
-                    } else {
-                        false
+                Action::Send { to, msg, at, timer } => {
+                    // A query that does not encode is never sent; its timer
+                    // still runs, so the attempt times out like a lost one.
+                    if let Ok(payload) = msg.encode() {
+                        ctx.send(to, 53, payload);
                     }
+                    self.core.recycle(msg);
+                    ctx.set_timer(at - ctx.now(), TAG_PENDING | timer);
                 }
             }
-        };
-        if advanced {
-            self.rehop(ctx, gen);
-        } else {
-            self.fail_job(ctx, gen);
         }
     }
 }
@@ -516,14 +156,14 @@ impl DnsServer {
 impl NodeBehavior for DnsServer {
     fn on_datagram(&mut self, ctx: &mut NodeContext<'_>, dgram: Datagram) {
         // Responses to our upstream queries come back on ephemeral ports.
-        if dgram.dst_port != self.config.port {
-            if let Ok(msg) = Message::decode(&dgram.payload) {
-                if msg.header.is_response {
-                    self.handle_upstream_response(ctx, msg);
-                    return;
+        if dgram.dst_port != self.core.config.port {
+            match Message::decode(&dgram.payload) {
+                Ok(msg) if msg.header.is_response => {
+                    self.core.on_response(ctx.now(), msg, &mut self.actions);
+                    self.apply(ctx);
                 }
+                _ => self.malformed += 1,
             }
-            self.malformed += 1;
             return;
         }
         // A query (or a response mistakenly sent to port 53 — ignore).
@@ -535,11 +175,12 @@ impl NodeBehavior for DnsServer {
             }
         };
         self.queries_received += 1;
-        let mut work = self.config.processing.sample(ctx.rng());
+        let config = &self.core.config;
+        let mut work = config.processing.sample(ctx.rng());
         if query.client_subnet().is_some() {
-            work += self.config.ecs_processing.sample(ctx.rng());
+            work += config.ecs_processing.sample(ctx.rng());
         }
-        let delay = if self.config.single_worker {
+        let delay = if config.single_worker {
             // Queue behind whatever the worker is already doing.
             let now = ctx.now();
             let start = self.busy_until.max(now);
@@ -548,48 +189,29 @@ impl NodeBehavior for DnsServer {
         } else {
             work
         };
+        let client = Client {
+            addr: dgram.src,
+            port: dgram.src_port,
+            local: dgram.dst,
+        };
         let key = self.next_inbox;
         self.next_inbox += 1;
-        self.inbox.insert(key, (dgram, query));
+        self.inbox.insert(key, (client, query));
         ctx.set_timer(delay, TAG_INBOX | key);
     }
 
     fn on_timer(&mut self, ctx: &mut NodeContext<'_>, _token: TimerToken, data: u64) {
-        let payload = data & !TAG_MASK;
+        let (now, payload) = (ctx.now(), data & !TAG_MASK);
         match data & TAG_MASK {
             TAG_INBOX => {
-                if let Some((dgram, query)) = self.inbox.remove(&payload) {
-                    self.process_query(ctx, dgram, query);
+                if let Some((client, query)) = self.inbox.remove(&payload) {
+                    self.core.on_query(now, client, &query, &mut self.actions);
                 }
             }
-            TAG_PENDING => {
-                let gen = payload;
-                let retry = match self.jobs.get_mut(&gen) {
-                    Some(job) if job.attempts_left > 0 => {
-                        job.attempts_left -= 1;
-                        true
-                    }
-                    Some(_) => false,
-                    None => return, // already completed
-                };
-                self.upstream_timeouts += 1;
-                self.telemetry.incr("dns.upstream.timeout");
-                if retry {
-                    self.telemetry.incr("dns.upstream.retry");
-                    self.resend_job(ctx, gen);
-                } else {
-                    // Retry budget exhausted in silence: the upstream is
-                    // presumed dead. Let the plugins know before the job
-                    // fails over or SERVFAILs.
-                    if let Some(job) = self.jobs.get(&gen) {
-                        let target = Self::current_target(job);
-                        self.notify_upstream(ctx.now(), target, false);
-                    }
-                    self.advance_or_fail(ctx, gen);
-                }
-            }
+            TAG_PENDING => self.core.on_timer(now, payload, &mut self.actions),
             _ => {}
         }
+        self.apply(ctx);
     }
 
     fn on_restart(&mut self, _ctx: &mut NodeContext<'_>) {
@@ -598,9 +220,8 @@ impl NodeBehavior for DnsServer {
         // cumulative counters survive — they model external scraping, not
         // process state — and clients see silence for anything dropped.
         self.inbox.clear();
-        self.jobs.clear();
-        self.id_to_gen.clear();
-        self.busy_until = netsim::SimTime::ZERO;
+        self.core.clear();
+        self.busy_until = SimTime::ZERO;
     }
 }
 
@@ -609,8 +230,9 @@ mod tests {
     use super::*;
     use crate::plugins::AuthoritativePlugin;
     use crate::zone::Zone;
+    use dns_wire::{Name, RrType};
     use netsim::{Network, NodeId};
-    use std::net::Ipv4Addr;
+    use std::net::{IpAddr, Ipv4Addr};
 
     struct Probe {
         server: IpAddr,

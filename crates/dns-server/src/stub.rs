@@ -20,7 +20,9 @@ use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
 /// Timer tag the engine uses; client behaviors embedding an engine must
-/// keep their own timer data below this bit.
+/// keep their own timer data below this bit. Below the tag, a timer
+/// carries its query's id in the low 16 bits and the query's timer
+/// sequence number above them.
 const TAG_STUB: u64 = 0xD5 << 56;
 const TAG_MASK: u64 = 0xFF << 56;
 
@@ -99,6 +101,9 @@ struct Pending {
     /// has refused.
     servfails: Vec<IpAddr>,
     ecs: Option<ClientSubnet>,
+    /// Timers armed so far. Only the latest is live: one armed before a
+    /// SERVFAIL engaged the next leg must not expire that leg.
+    timer_seq: u32,
 }
 
 /// Client-side query engine: id allocation, retries with exponential
@@ -196,6 +201,7 @@ impl StubEngine {
             fallback_sent: false,
             servfails: Vec::new(),
             ecs,
+            timer_seq: 0,
         };
         self.pending.insert(id, pending);
         self.telemetry.incr("stub.query");
@@ -204,23 +210,23 @@ impl StubEngine {
         match &strategy {
             SendStrategy::Unicast(server) => {
                 self.transmit(ctx, id, *server);
-                ctx.set_timer(self.query_timeout, TAG_STUB | u64::from(id));
+                self.arm(ctx, id, self.query_timeout);
             }
             SendStrategy::Multicast(servers) => {
                 for s in servers {
                     self.transmit(ctx, id, *s);
                 }
-                ctx.set_timer(self.query_timeout, TAG_STUB | u64::from(id));
+                self.arm(ctx, id, self.query_timeout);
             }
             SendStrategy::FallbackOnTimeout {
                 primary, timeout, ..
             } => {
                 self.transmit(ctx, id, *primary);
-                ctx.set_timer(*timeout, TAG_STUB | u64::from(id));
+                self.arm(ctx, id, *timeout);
             }
             SendStrategy::CloudOnServfail { anycast, .. } => {
                 self.transmit(ctx, id, *anycast);
-                ctx.set_timer(self.query_timeout, TAG_STUB | u64::from(id));
+                self.arm(ctx, id, self.query_timeout);
             }
         }
         id
@@ -238,6 +244,16 @@ impl StubEngine {
         // in-flight queries means the driving experiment is wedged;
         // aborting is more honest than silently reusing a live id.
         panic!("65535 concurrent stub queries");
+    }
+
+    /// Arms query `id`'s timer to fire after `wait`, superseding any
+    /// timer it armed before.
+    fn arm(&mut self, ctx: &mut NodeContext<'_>, id: u16, wait: SimDuration) {
+        if let Some(p) = self.pending.get_mut(&id) {
+            p.timer_seq = p.timer_seq.wrapping_add(1);
+            let seq = u64::from(p.timer_seq);
+            ctx.set_timer(wait, TAG_STUB | seq << 16 | u64::from(id));
+        }
     }
 
     fn transmit(&self, ctx: &mut NodeContext<'_>, id: u16, server: IpAddr) {
@@ -290,7 +306,7 @@ impl StubEngine {
                             fallback.to_string()
                         });
                     self.transmit(ctx, id, fallback);
-                    ctx.set_timer(self.query_timeout, TAG_STUB | u64::from(id));
+                    self.arm(ctx, id, self.query_timeout);
                     return None;
                 }
                 SendStrategy::CloudOnServfail { anycast, cloud }
@@ -307,7 +323,7 @@ impl StubEngine {
                             cloud.to_string()
                         });
                     self.transmit(ctx, id, cloud);
-                    ctx.set_timer(self.query_timeout, TAG_STUB | u64::from(id));
+                    self.arm(ctx, id, self.query_timeout);
                     return None;
                 }
                 SendStrategy::Multicast(servers) if rcode == Rcode::ServFail => {
@@ -364,8 +380,11 @@ impl StubEngine {
     /// query is abandoned.
     pub fn on_timer(&mut self, ctx: &mut NodeContext<'_>, data: u64) -> Option<QueryOutcome> {
         debug_assert!(Self::owns_timer(data));
-        let id = (data & !TAG_MASK) as u16;
+        let id = data as u16;
         let p = self.pending.get_mut(&id)?;
+        if u64::from(p.timer_seq) != (data & !TAG_MASK) >> 16 {
+            return None; // superseded: a later leg armed its own timer
+        }
         match p.strategy.clone() {
             SendStrategy::FallbackOnTimeout { fallback, .. } if !p.fallback_sent => {
                 // Primary silent: engage the fallback, then wait the full
@@ -379,7 +398,7 @@ impl StubEngine {
                         fallback.to_string()
                     });
                 self.transmit(ctx, id, fallback);
-                ctx.set_timer(self.query_timeout, TAG_STUB | u64::from(id));
+                self.arm(ctx, id, self.query_timeout);
                 None
             }
             SendStrategy::Unicast(server) if p.retries_left > 0 => {
@@ -393,7 +412,7 @@ impl StubEngine {
                         server.to_string()
                     });
                 self.transmit(ctx, id, server);
-                ctx.set_timer(wait, TAG_STUB | u64::from(id));
+                self.arm(ctx, id, wait);
                 None
             }
             SendStrategy::Multicast(servers) if p.retries_left > 0 => {
@@ -409,7 +428,7 @@ impl StubEngine {
                 for s in &servers {
                     self.transmit(ctx, id, *s);
                 }
-                ctx.set_timer(wait, TAG_STUB | u64::from(id));
+                self.arm(ctx, id, wait);
                 None
             }
             SendStrategy::FallbackOnTimeout {
@@ -430,7 +449,7 @@ impl StubEngine {
                     });
                 self.transmit(ctx, id, primary);
                 self.transmit(ctx, id, fallback);
-                ctx.set_timer(wait, TAG_STUB | u64::from(id));
+                self.arm(ctx, id, wait);
                 None
             }
             SendStrategy::CloudOnServfail { anycast, cloud } if p.retries_left > 0 => {
@@ -454,7 +473,7 @@ impl StubEngine {
                 if engaged {
                     self.transmit(ctx, id, cloud);
                 }
-                ctx.set_timer(wait, TAG_STUB | u64::from(id));
+                self.arm(ctx, id, wait);
                 None
             }
             _ => {

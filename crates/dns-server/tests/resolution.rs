@@ -7,12 +7,15 @@ use dns_server::plugins::{
     AuthoritativePlugin, CachePlugin, ForwardPlugin, KubernetesPlugin, RecursePlugin, ScopePlugin,
     StubDomainPlugin,
 };
-use dns_server::{DnsServer, QueryOutcome, SendStrategy, ServerConfig, StubEngine, Zone};
-use dns_wire::{ClientSubnet, Name, Rcode, RrType};
+use dns_server::{
+    DnsServer, Plugin, PluginDecision, QueryCtx, QueryOutcome, SendStrategy, ServerConfig,
+    StubEngine, Zone,
+};
+use dns_wire::{ClientSubnet, Message, Name, Rcode, RrType};
 use mec_orch::{ServiceRegistry, Visibility};
 use netsim::{
     Datagram, Latency, LinkProfile, Network, NodeBehavior, NodeContext, NodeId, SimDuration,
-    TimerToken,
+    SimTime, TimerToken,
 };
 use std::net::{IpAddr, Ipv4Addr};
 
@@ -325,6 +328,138 @@ fn fallback_not_used_when_primary_answers() {
     assert!(!out[0].used_fallback);
     let fb = net.behavior::<DnsServer>(fallback);
     assert_eq!(fb.queries_received, 0, "fallback should never be asked");
+}
+
+/// Answers every query SERVFAIL: an affirmative "cannot resolve".
+struct AlwaysServFail;
+
+impl Plugin for AlwaysServFail {
+    fn name(&self) -> &'static str {
+        "servfail"
+    }
+    fn on_query(&mut self, _ctx: &QueryCtx, query: &Message) -> PluginDecision {
+        PluginDecision::Respond(Message::response_to(query).with_rcode(Rcode::ServFail))
+    }
+}
+
+#[test]
+fn a_servfail_engaged_fallback_outlives_the_primarys_timer() {
+    // The primary refuses at once, which engages the fallback; the timer
+    // the primary's leg armed (500 ms) then fires while the fallback's
+    // answer (800 ms round trip) is still on its way. That timer belongs
+    // to the primary's leg and must not expire the fallback's.
+    let mut net = Network::new(44);
+    let mut zone = Zone::new(n("example.com"));
+    zone.add_a(n("www.example.com"), Ipv4Addr::new(9, 9, 9, 9), 60);
+    let primary = net.add_node(
+        "primary",
+        [ip("10.0.0.1")],
+        DnsServer::new(fast_config(), vec![Box::new(AlwaysServFail)]),
+    );
+    let fallback = net.add_node(
+        "fallback",
+        [ip("10.0.0.2")],
+        DnsServer::new(fast_config(), vec![Box::new(AuthoritativePlugin::new(vec![zone]))]),
+    );
+    let mut client_b = Client::new(vec![(
+        n("www.example.com"),
+        SendStrategy::FallbackOnTimeout {
+            primary: ip("10.0.0.1"),
+            fallback: ip("10.0.0.2"),
+            timeout: SimDuration::from_millis(500),
+        },
+        None,
+    )]);
+    client_b.engine.retries = 0;
+    let client = net.add_node("client", [ip("192.168.1.10")], client_b);
+    net.connect(client, primary, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
+    net.connect(client, fallback, LinkProfile::with_latency(Latency::ConstantMs(400.0)));
+    net.run();
+    let out = outcomes(&net, client);
+    assert_eq!(out.len(), 1);
+    assert!(!out[0].timed_out, "abandoned at {}", out[0].rtt);
+    assert_eq!(out[0].rcode, Rcode::NoError);
+    assert!(out[0].used_fallback);
+    assert_eq!(out[0].addrs, vec![Ipv4Addr::new(9, 9, 9, 9)]);
+    // The primary's SERVFAIL (~2 ms), then the fallback round trip.
+    let rtt = out[0].rtt.as_millis_f64();
+    assert!((802.0..805.0).contains(&rtt), "rtt {rtt}");
+}
+
+/// A raw client: sends one query at start and keeps every reply with its
+/// arrival time.
+struct Probe {
+    server: IpAddr,
+    query: Message,
+    replies: Vec<(SimTime, Message)>,
+}
+
+impl NodeBehavior for Probe {
+    fn on_start(&mut self, ctx: &mut NodeContext<'_>) {
+        ctx.send(self.server, 53, self.query.encode().unwrap());
+    }
+    fn on_datagram(&mut self, ctx: &mut NodeContext<'_>, dgram: Datagram) {
+        if let Ok(m) = Message::decode(&dgram.payload) {
+            self.replies.push((ctx.now(), m));
+        }
+    }
+}
+
+#[test]
+fn a_slow_hop_is_not_timed_out_by_the_previous_hops_timer() {
+    // Root, TLD and A-DNS are each 750 ms from the L-DNS: every hop
+    // answers within the 2 s upstream timeout, but each hop's timer is
+    // still pending when the next hop starts. Those timers belong to
+    // attempts that already ended and must not count against the live one.
+    let mut net = Network::new(43);
+    let mut root_zone = Zone::new(Name::root());
+    root_zone.delegate(n("test"), n("ns.test"), Ipv4Addr::new(10, 50, 0, 2), 86400);
+    let mut tld_zone = Zone::new(n("test"));
+    tld_zone.delegate(
+        n("mycdn.ciab.test"),
+        n("ns1.mycdn.ciab.test"),
+        Ipv4Addr::new(10, 50, 0, 3),
+        3600,
+    );
+    let mut cdn_zone = Zone::new(n("mycdn.ciab.test"));
+    cdn_zone.add_a(n("video.mycdn.ciab.test"), Ipv4Addr::new(10, 60, 0, 11), 30);
+    let ldns = net.add_node(
+        "ldns",
+        [ip("10.40.0.1")],
+        DnsServer::new(fast_config(), vec![Box::new(RecursePlugin::new(vec![ip("10.50.0.1")]))]),
+    );
+    for (name, addr, zone) in [
+        ("root", "10.50.0.1", root_zone),
+        ("tld", "10.50.0.2", tld_zone),
+        ("adns", "10.50.0.3", cdn_zone),
+    ] {
+        let node = net.add_node(
+            name,
+            [ip(addr)],
+            DnsServer::new(fast_config(), vec![Box::new(AuthoritativePlugin::new(vec![zone]))]),
+        );
+        net.connect(ldns, node, LinkProfile::with_latency(Latency::ConstantMs(750.0)));
+    }
+    let probe = net.add_node(
+        "probe",
+        [ip("192.168.1.10")],
+        Probe {
+            server: ip("10.40.0.1"),
+            query: Message::query(7, n("video.mycdn.ciab.test"), RrType::A),
+            replies: Vec::new(),
+        },
+    );
+    net.connect(probe, ldns, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
+    net.run();
+    let replies = &net.behavior::<Probe>(probe).replies;
+    assert_eq!(replies.len(), 1);
+    let (at, reply) = &replies[0];
+    assert_eq!(reply.header.rcode, Rcode::NoError);
+    assert_eq!(reply.answer_a_addrs(), vec![Ipv4Addr::new(10, 60, 0, 11)]);
+    // Three 1.5 s hops, the probe's 2 ms round trip and processing.
+    let ms = at.as_millis_f64();
+    assert!((4500.0..4505.0).contains(&ms), "answered at {ms} ms");
+    assert_eq!(net.behavior::<DnsServer>(ldns).upstream_timeouts, 0);
 }
 
 /// The federated-anycast world the two `CloudOnServfail` tests share:

@@ -32,9 +32,23 @@ pub const MAX_POINTER_HOPS: usize = 32;
 /// assert_eq!(a, b);
 /// assert!(a.is_subdomain_of(&Name::parse("mycdn.ciab.test").unwrap()));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Name {
     labels: Vec<Vec<u8>>,
+}
+
+impl Clone for Name {
+    fn clone(&self) -> Self {
+        Name {
+            labels: self.labels.clone(),
+        }
+    }
+
+    /// Reuses `self`'s label buffers, so a name rebuilt in place
+    /// allocates only where it outgrows them.
+    fn clone_from(&mut self, source: &Self) {
+        self.labels.clone_from(&source.labels);
+    }
 }
 
 impl Name {
@@ -396,6 +410,21 @@ mod tests {
         let buf = w.finish().unwrap();
         let mut r = Reader::new(&buf);
         Name::decode(&mut r).unwrap()
+    }
+
+    #[test]
+    fn clone_from_copies_labels_and_case_over_any_name() {
+        for (from, into) in [
+            ("XyZ.Example.com", "a.b.c.d.e"),
+            ("a.b.c.d.e", "Q.r"),
+            ("", "x.y"),
+        ] {
+            let source = Name::parse(from).unwrap();
+            let mut name = Name::parse(into).unwrap();
+            name.clone_from(&source);
+            assert_eq!(name.to_string(), source.to_string());
+            assert_eq!(name.label_count(), source.label_count());
+        }
     }
 
     #[test]
