@@ -143,11 +143,7 @@ impl NodeBehavior for CacheServer {
                         let first = !self.waiting.contains_key(&key);
                         self.waiting.entry(key.clone()).or_default().push(dgram);
                         if first {
-                            ctx.send(
-                                parent,
-                                CONTENT_PORT,
-                                CdnMsg::Get { key }.encode(),
-                            );
+                            ctx.send(parent, CONTENT_PORT, CdnMsg::Get { key }.encode());
                         }
                     }
                     None => {
@@ -167,9 +163,7 @@ impl NodeBehavior for CacheServer {
             Some(CdnMsg::Miss { key }) => {
                 if let Some(waiters) = self.waiting.remove(&key) {
                     for w in waiters {
-                        ctx.send_datagram(
-                            w.reply_with(CdnMsg::Miss { key: key.clone() }.encode()),
-                        );
+                        ctx.send_datagram(w.reply_with(CdnMsg::Miss { key: key.clone() }.encode()));
                     }
                 }
             }
@@ -247,8 +241,16 @@ mod tests {
             [ip("10.0.0.3")],
             Fetcher::new(ip("10.0.0.2"), keys.into_iter().map(String::from).collect()),
         );
-        net.connect(cache, origin, LinkProfile::with_latency(Latency::ConstantMs(20.0)));
-        net.connect(client, cache, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
+        net.connect(
+            cache,
+            origin,
+            LinkProfile::with_latency(Latency::ConstantMs(20.0)),
+        );
+        net.connect(
+            client,
+            cache,
+            LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+        );
         (net, client, cache)
     }
 
@@ -278,16 +280,23 @@ mod tests {
         let cache = net.add_node(
             "cache",
             [ip("10.0.0.2")],
-            CacheServer::new(ip("10.0.0.2"), 1500, Some(ip("10.0.0.1")))
-                .with_index(index.clone()),
+            CacheServer::new(ip("10.0.0.2"), 1500, Some(ip("10.0.0.1"))).with_index(index.clone()),
         );
         let client = net.add_node(
             "client",
             [ip("10.0.0.3")],
             Fetcher::new(ip("10.0.0.2"), vec!["a".into(), "b".into()]),
         );
-        net.connect(cache, origin, LinkProfile::with_latency(Latency::ConstantMs(5.0)));
-        net.connect(client, cache, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
+        net.connect(
+            cache,
+            origin,
+            LinkProfile::with_latency(Latency::ConstantMs(5.0)),
+        );
+        net.connect(
+            client,
+            cache,
+            LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+        );
         net.run();
         // Capacity 1500 holds one 1000-byte object: `a` evicted for `b`.
         let c = net.behavior::<CacheServer>(cache);
@@ -333,11 +342,23 @@ mod tests {
                 replies: 0,
             },
         );
-        net.connect(cache, origin_node, LinkProfile::with_latency(Latency::ConstantMs(5.0)));
-        net.connect(client, cache, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
+        net.connect(
+            cache,
+            origin_node,
+            LinkProfile::with_latency(Latency::ConstantMs(5.0)),
+        );
+        net.connect(
+            client,
+            cache,
+            LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+        );
         net.run();
         assert_eq!(net.behavior::<Burst>(client).replies, 3);
-        assert_eq!(net.behavior::<Origin>(origin_node).served, 1, "fetches must coalesce");
+        assert_eq!(
+            net.behavior::<Origin>(origin_node).served,
+            1,
+            "fetches must coalesce"
+        );
     }
 
     #[test]
@@ -353,7 +374,11 @@ mod tests {
             [ip("10.0.0.3")],
             Fetcher::new(ip("10.0.0.2"), vec!["nope".into()]),
         );
-        net.connect(client, cache, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
+        net.connect(
+            client,
+            cache,
+            LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+        );
         net.run();
         let got = &net.behavior::<Fetcher>(client).got;
         assert_eq!(got.len(), 1);

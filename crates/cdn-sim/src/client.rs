@@ -57,7 +57,10 @@ impl FetchEngine {
         ctx.send(
             server,
             CONTENT_PORT,
-            CdnMsg::Get { key: key.to_string() }.encode(),
+            CdnMsg::Get {
+                key: key.to_string(),
+            }
+            .encode(),
         );
     }
 

@@ -254,7 +254,11 @@ mod tests {
         let pool_a: Cidr = "13.249.0.0/16".parse().unwrap();
         for _ in 0..100 {
             let a = ask(&mut r, "q-cf.bstatic.com", "10.1.0.1");
-            let label = if pool_a.contains(IpAddr::V4(a)) { "a" } else { "b" };
+            let label = if pool_a.contains(IpAddr::V4(a)) {
+                "a"
+            } else {
+                "b"
+            };
             *counts.entry(label).or_insert(0) += 1;
         }
         assert_eq!(counts["a"], 75);
@@ -316,9 +320,7 @@ mod tests {
                 PoolChoice::new("Akamai-site", "23.55.124.0/24", 0.5),
             ],
         );
-        let (provider, pool) = r
-            .classify(&domain, Ipv4Addr::new(23, 55, 124, 9))
-            .unwrap();
+        let (provider, pool) = r.classify(&domain, Ipv4Addr::new(23, 55, 124, 9)).unwrap();
         assert_eq!(provider, "Akamai-site");
         assert_eq!(pool, "23.55.124.0/24".parse().unwrap());
         let (provider, _) = r.classify(&domain, Ipv4Addr::new(23, 9, 9, 9)).unwrap();

@@ -89,7 +89,11 @@ mod tests {
                 got: vec![],
             },
         );
-        net.connect(asker, origin, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
+        net.connect(
+            asker,
+            origin,
+            LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+        );
         net.run();
         let got = &net.behavior::<Asker>(asker).got;
         assert_eq!(got.len(), 2);

@@ -111,7 +111,11 @@ mod tests {
             size: 5000,
         };
         let bytes = msg.encode();
-        assert_eq!(bytes.len(), 5000, "payload must cost `size` bytes on the wire");
+        assert_eq!(
+            bytes.len(),
+            5000,
+            "payload must cost `size` bytes on the wire"
+        );
         assert_eq!(CdnMsg::decode(&bytes), Some(msg));
     }
 

@@ -329,8 +329,7 @@ mod tests {
 
     #[test]
     fn non_hosted_domain_refers_to_fallback_tier() {
-        let mut r = router(Selection::RoundRobin)
-            .with_fallback("10.99.0.1".parse().unwrap());
+        let mut r = router(Selection::RoundRobin).with_fallback("10.99.0.1".parse().unwrap());
         let q = Message::query(1, n("other.site.mycdn.ciab.test"), RrType::A);
         match r.on_query(&ctx_from("1.1.1.1"), &q) {
             PluginDecision::Forward { upstream } => {

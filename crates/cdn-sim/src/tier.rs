@@ -85,9 +85,7 @@ impl CdnHierarchy {
                         .with_index(index.clone()),
                 );
                 // Uplink to the parent node.
-                let parent_node = net
-                    .node_by_addr(parent)
-                    .expect("parent was just created");
+                let parent_node = net.node_by_addr(parent).expect("parent was just created");
                 net.connect(node, parent_node, spec.uplink.clone());
                 net.add_default_route(node, parent_node);
                 nodes.push(node);
@@ -244,7 +242,11 @@ mod tests {
         // pays edge+mid, not the origin WAN.
         let c2 = &net.behavior::<Fetcher>(client2).latencies_ms;
         assert_eq!(c2.len(), 1);
-        assert!(c2[0] > 10.0 && c2[0] < 20.0, "mid-tier hit expected: {}", c2[0]);
+        assert!(
+            c2[0] > 10.0 && c2[0] < 20.0,
+            "mid-tier hit expected: {}",
+            c2[0]
+        );
         // The index saw every fill.
         assert_eq!(h.index.holders("movie/seg").len(), 3);
     }

@@ -35,10 +35,43 @@ pub const METHOD_AMBIGUITY_CAP: usize = 4;
 /// `Baseline::write`). They still resolve within the caller's crate,
 /// where shadowing std names is a local, reviewable choice.
 pub const STD_METHOD_NAMES: &[&str] = &[
-    "get", "get_mut", "insert", "remove", "push", "pop", "push_back", "pop_front", "len",
-    "is_empty", "clear", "clone", "iter", "next", "read", "write", "lock", "send", "recv",
-    "contains", "contains_key", "extend", "drain", "take", "replace", "fmt", "eq", "cmp", "hash",
-    "drop", "min", "max", "sum", "count", "new", "from", "default",
+    "get",
+    "get_mut",
+    "insert",
+    "remove",
+    "push",
+    "pop",
+    "push_back",
+    "pop_front",
+    "len",
+    "is_empty",
+    "clear",
+    "clone",
+    "iter",
+    "next",
+    "read",
+    "write",
+    "lock",
+    "send",
+    "recv",
+    "contains",
+    "contains_key",
+    "extend",
+    "drain",
+    "take",
+    "replace",
+    "fmt",
+    "eq",
+    "cmp",
+    "hash",
+    "drop",
+    "min",
+    "max",
+    "sum",
+    "count",
+    "new",
+    "from",
+    "default",
 ];
 
 /// The workspace call graph over every extracted function.
@@ -190,7 +223,10 @@ mod tests {
     fn transitive_closure_crosses_files() {
         let fns = graph_fns(&[
             ("a.rs", "fn root() { mid(); }\n"),
-            ("b.rs", "fn mid() { leaf(); }\nfn leaf() {}\nfn unreached() {}\n"),
+            (
+                "b.rs",
+                "fn mid() { leaf(); }\nfn leaf() {}\nfn unreached() {}\n",
+            ),
         ]);
         let g = CallGraph::build(&fns);
         let roots = g.fns_in_file("a.rs");
@@ -225,7 +261,10 @@ mod tests {
     fn method_calls_are_conservative_until_the_ambiguity_cap() {
         let fns = graph_fns(&[
             ("crates/a/src/l.rs", "fn root(x: T) { x.poke(); }\n"),
-            ("crates/b/src/l.rs", "impl A { fn poke(&self) {} }\nimpl B { fn poke(&self) {} }\n"),
+            (
+                "crates/b/src/l.rs",
+                "impl A { fn poke(&self) {} }\nimpl B { fn poke(&self) {} }\n",
+            ),
         ]);
         let g = CallGraph::build(&fns);
         let hot = g.closure(&g.fns_in_file("crates/a/src/l.rs"));
@@ -235,16 +274,20 @@ mod tests {
 
     #[test]
     fn ambiguous_method_names_narrow_to_the_callers_crate() {
-        let mut files: Vec<(String, String)> = vec![
-            ("crates/a/src/l.rs".into(), "fn root(x: T) { x.len2(); }\nimpl L { fn len2(&self) {} }\n".into()),
-        ];
+        let mut files: Vec<(String, String)> = vec![(
+            "crates/a/src/l.rs".into(),
+            "fn root(x: T) { x.len2(); }\nimpl L { fn len2(&self) {} }\n".into(),
+        )];
         for k in 0..METHOD_AMBIGUITY_CAP + 1 {
             files.push((
                 format!("crates/c{k}/src/l.rs"),
                 "impl M { fn len2(&self) {} }\n".to_string(),
             ));
         }
-        let refs: Vec<(&str, &str)> = files.iter().map(|(f, s)| (f.as_str(), s.as_str())).collect();
+        let refs: Vec<(&str, &str)> = files
+            .iter()
+            .map(|(f, s)| (f.as_str(), s.as_str()))
+            .collect();
         let fns = graph_fns(&refs);
         let g = CallGraph::build(&fns);
         let hot = g.closure(&[0]);

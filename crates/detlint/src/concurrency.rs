@@ -199,8 +199,7 @@ fn atomic_ops(toks: &[Token]) -> Vec<AtomicOp> {
     let mut ops = Vec::new();
     for (m, t) in toks.iter().enumerate() {
         let Some(name) = t.ident() else { continue };
-        let is_atomic_method =
-            matches!(name, "load" | "store") || RMW_METHODS.contains(&name);
+        let is_atomic_method = matches!(name, "load" | "store") || RMW_METHODS.contains(&name);
         if !is_atomic_method
             || m < 2
             || !toks[m - 1].is_punct('.')
@@ -208,15 +207,21 @@ fn atomic_ops(toks: &[Token]) -> Vec<AtomicOp> {
         {
             continue;
         }
-        let Some(ident) = toks[m - 2].ident() else { continue };
+        let Some(ident) = toks[m - 2].ident() else {
+            continue;
+        };
         // Only calls that name a memory ordering are atomic ops at all;
         // this is what separates `sock.send_to(..)` from
         // `flag.store(true, Ordering::Release)`.
         let end = after_parens(toks, m + 1);
-        let has_ordering = toks[m + 1..end]
-            .iter()
-            .any(|t| t.is_ident("Ordering") || t.is_ident("Relaxed") || t.is_ident("Acquire")
-                || t.is_ident("Release") || t.is_ident("AcqRel") || t.is_ident("SeqCst"));
+        let has_ordering = toks[m + 1..end].iter().any(|t| {
+            t.is_ident("Ordering")
+                || t.is_ident("Relaxed")
+                || t.is_ident("Acquire")
+                || t.is_ident("Release")
+                || t.is_ident("AcqRel")
+                || t.is_ident("SeqCst")
+        });
         if !has_ordering {
             continue;
         }
@@ -259,8 +264,7 @@ fn atomic_order(toks: &[Token], test: &[(u32, u32)], out: &mut Vec<ConcFinding>)
 
     // Pass 2: every Relaxed op on a gating ident is a finding.
     for op in &ops {
-        if op.relaxed && gating.contains(&op.ident.as_str()) && !in_spans(toks[op.at].line, test)
-        {
+        if op.relaxed && gating.contains(&op.ident.as_str()) && !in_spans(toks[op.at].line, test) {
             out.push(ConcFinding {
                 rule: RuleId::AtomicOrder,
                 line: toks[op.at].line,
@@ -277,7 +281,9 @@ fn atomic_order(toks: &[Token], test: &[(u32, u32)], out: &mut Vec<ConcFinding>)
 
 fn lock_unwrap(toks: &[Token], test: &[(u32, u32)], out: &mut Vec<ConcFinding>) {
     for m in 2..toks.len() {
-        let Some(name) = toks[m].ident() else { continue };
+        let Some(name) = toks[m].ident() else {
+            continue;
+        };
         if !LOCK_METHODS.contains(&name)
             || !toks[m - 1].is_punct('.')
             || !toks.get(m + 1).is_some_and(|t| t.is_punct('('))
@@ -337,9 +343,7 @@ fn guards(
         let Some(name) = t.ident() else { continue };
 
         // `drop(g)` ends a bound guard early.
-        if name == "drop"
-            && toks.get(m + 1).is_some_and(|t| t.is_punct('('))
-        {
+        if name == "drop" && toks.get(m + 1).is_some_and(|t| t.is_punct('(')) {
             if let Some(dropped) = toks.get(m + 2).and_then(|t| t.ident()) {
                 live.retain(|g| g.binding.as_deref() != Some(dropped));
             }

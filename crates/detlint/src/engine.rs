@@ -164,7 +164,16 @@ const ORDERING_SINKS: &[&str] = &[
 /// `max_by_key` are deliberately absent — their tie-breaking follows
 /// iteration order.)
 const ORDER_INSENSITIVE: &[&str] = &[
-    "sum", "count", "min", "max", "all", "any", "len", "is_empty", "contains", "contains_key",
+    "sum",
+    "count",
+    "min",
+    "max",
+    "all",
+    "any",
+    "len",
+    "is_empty",
+    "contains",
+    "contains_key",
 ];
 
 /// Panicking macros denied on the hot path.
@@ -228,12 +237,7 @@ pub fn scan_source(file: &str, src: &str, rules: &[RuleId]) -> ScanResult {
 /// [`scan_source`] with explicit hot-span scoping (the workspace walk
 /// uses this to apply hot rules only inside transitively-hot
 /// functions of non-root files).
-pub fn scan_source_scoped(
-    file: &str,
-    src: &str,
-    rules: &[RuleId],
-    scope: &HotScope,
-) -> ScanResult {
+pub fn scan_source_scoped(file: &str, src: &str, rules: &[RuleId], scope: &HotScope) -> ScanResult {
     let lexed = lex(src);
     let toks = &lexed.tokens;
     let lines: Vec<&str> = src.lines().collect();
@@ -539,7 +543,11 @@ pub fn scan_source_scoped(
     }
 
     // --- (C) concurrency family ---------------------------------------
-    let conc_rules: Vec<RuleId> = rules.iter().copied().filter(|r| r.family() == 'C').collect();
+    let conc_rules: Vec<RuleId> = rules
+        .iter()
+        .copied()
+        .filter(|r| r.family() == 'C')
+        .collect();
     let mut lock_edges: Vec<LockEdge> = Vec::new();
     if !conc_rules.is_empty() {
         let symbols = crate::symbols::extract(file, &lexed);
@@ -677,14 +685,13 @@ fn item_allow_ranges(toks: &[Token], allows: &[Allow]) -> Vec<(usize, u32, u32)>
                     depth += 1;
                     started = true;
                 }
-                TokKind::Punct('}')
-                    if started => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end_line = t.line;
-                            break;
-                        }
+                TokKind::Punct('}') if started => {
+                    depth -= 1;
+                    if depth == 0 {
+                        end_line = t.line;
+                        break;
                     }
+                }
                 _ => {}
             }
         }

@@ -305,10 +305,7 @@ pub fn lex(src: &str) -> Lexed {
     // Post-pass: a comment is trailing when a token precedes it on its
     // own line (code first, then the comment).
     for c in &mut out.comments {
-        c.trailing = out
-            .tokens
-            .iter()
-            .any(|t| t.line == c.line && t.col < c.col);
+        c.trailing = out.tokens.iter().any(|t| t.line == c.line && t.col < c.col);
     }
     out
 }

@@ -48,9 +48,7 @@ pub mod report;
 pub mod rules;
 pub mod symbols;
 
-pub use engine::{
-    scan_source, scan_source_scoped, Finding, HotScope, HotSpan, ScanResult, Status,
-};
+pub use engine::{scan_source, scan_source_scoped, Finding, HotScope, HotSpan, ScanResult, Status};
 pub use report::{Baseline, Report, JSON_SCHEMA_VERSION};
 pub use rules::{
     rules_for_path, RuleId, ALL_RULES, HOT_ALLOC_ROOTS, HOT_PATH_FILES, OUTPUT_AFFECTING_CRATES,
@@ -258,9 +256,11 @@ pub fn scan_workspace_with(root: &Path, opts: &WorkspaceOptions) -> std::io::Res
         rules.dedup();
         let res = scan_source_scoped(rel, src, &rules, &scope);
         report.findings.extend(res.findings);
-        report
-            .unused_allows
-            .extend(res.unused_allows.into_iter().map(|(m, l)| (m, rel.clone(), l)));
+        report.unused_allows.extend(
+            res.unused_allows
+                .into_iter()
+                .map(|(m, l)| (m, rel.clone(), l)),
+        );
         if !res.lock_edges.is_empty() {
             edges_by_file.push((rel.clone(), res.lock_edges));
         }

@@ -1,9 +1,7 @@
 //! The `detlint` binary: scans the workspace and reports determinism,
 //! hot-path-panic and unsafe-hygiene findings. See `--help`.
 
-use detlint::{
-    find_workspace_root, scan_workspace_with, Baseline, WorkspaceOptions, ALL_RULES,
-};
+use detlint::{find_workspace_root, scan_workspace_with, Baseline, WorkspaceOptions, ALL_RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -123,8 +121,7 @@ fn run(opts: Opts) -> Result<ExitCode, String> {
         .unwrap_or_else(|| find_workspace_root(&cwd));
     let mut wopts = WorkspaceOptions::default();
     wopts.hot_root_files.extend(opts.hot_roots.iter().cloned());
-    let mut report =
-        scan_workspace_with(&root, &wopts).map_err(|e| format!("scan failed: {e}"))?;
+    let mut report = scan_workspace_with(&root, &wopts).map_err(|e| format!("scan failed: {e}"))?;
 
     if let Some(path) = &opts.baseline {
         let text = std::fs::read_to_string(path)

@@ -322,8 +322,7 @@ impl Baseline {
                 continue;
             }
             let mut parts = line.split('\t');
-            let (Some(rule), Some(file), Some(hash)) =
-                (parts.next(), parts.next(), parts.next())
+            let (Some(rule), Some(file), Some(hash)) = (parts.next(), parts.next(), parts.next())
             else {
                 continue;
             };

@@ -310,7 +310,10 @@ mod tests {
     fn detlint_lints_itself() {
         let engine = rules_for_path("crates/detlint/src/engine.rs");
         assert!(engine.contains(&RuleId::MapIter), "self-lint: map-iter");
-        assert!(engine.contains(&RuleId::LockOrder), "self-lint: concurrency");
+        assert!(
+            engine.contains(&RuleId::LockOrder),
+            "self-lint: concurrency"
+        );
         assert!(engine.contains(&RuleId::WallClock));
     }
 
@@ -343,7 +346,10 @@ mod tests {
             vec![RuleId::LockUnwrap]
         );
         // A directory that is not a rule name falls through to policy.
-        assert_eq!(rules_for_path("docs/example.rs"), vec![RuleId::UnsafeComment]);
+        assert_eq!(
+            rules_for_path("docs/example.rs"),
+            vec![RuleId::UnsafeComment]
+        );
     }
 
     #[test]

@@ -101,8 +101,7 @@ pub fn extract(file: &str, lexed: &Lexed) -> FileSymbols {
     // A parsed-but-unopened impl owner.
     let mut pending_owner: Option<String> = None;
 
-    let in_test =
-        |scopes: &[Scope], pending: bool| pending || scopes.iter().any(|s| s.test);
+    let in_test = |scopes: &[Scope], pending: bool| pending || scopes.iter().any(|s| s.test);
 
     let mut i = 0usize;
     while i < toks.len() {
@@ -330,11 +329,9 @@ mod tests {
 
     #[test]
     fn impl_owner_and_trait_impls() {
-        let s = sym(
-            "impl Foo { fn m(&self) {} }\n\
+        let s = sym("impl Foo { fn m(&self) {} }\n\
              impl<T> Display for Bar<T> { fn fmt(&self) {} }\n\
-             impl dns_wire::Name { fn n(&self) {} }\n",
-        );
+             impl dns_wire::Name { fn n(&self) {} }\n");
         let owners: Vec<(&str, Option<&str>)> = s
             .fns
             .iter()
@@ -342,7 +339,11 @@ mod tests {
             .collect();
         assert_eq!(
             owners,
-            vec![("m", Some("Foo")), ("fmt", Some("Bar")), ("n", Some("Name"))]
+            vec![
+                ("m", Some("Foo")),
+                ("fmt", Some("Bar")),
+                ("n", Some("Name"))
+            ]
         );
     }
 
@@ -359,10 +360,8 @@ mod tests {
 
     #[test]
     fn test_scopes_are_marked() {
-        let s = sym(
-            "fn prod() {}\n\
-             #[cfg(test)]\nmod tests {\n  fn helper() {}\n  #[test]\n  fn t() {}\n}\n",
-        );
+        let s = sym("fn prod() {}\n\
+             #[cfg(test)]\nmod tests {\n  fn helper() {}\n  #[test]\n  fn t() {}\n}\n");
         assert!(!s.fns[0].is_test);
         assert!(s.fns[1].is_test, "fn inside #[cfg(test)] mod");
         assert!(s.fns[2].is_test, "#[test] fn");

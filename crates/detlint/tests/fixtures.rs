@@ -222,7 +222,10 @@ fn baseline_round_trips_and_consumes_multiset_entries() {
     // The hash keys on trimmed content, so line drift does not invalidate
     // an entry.
     let f = &report.findings[0];
-    assert_eq!(line_hash(&f.snippet), line_hash(&format!("  {}  ", f.snippet)));
+    assert_eq!(
+        line_hash(&f.snippet),
+        line_hash(&format!("  {}  ", f.snippet))
+    );
 }
 
 #[test]
@@ -244,7 +247,14 @@ fn workspace_scans_clean() {
         "workspace has un-annotated findings:\n{}",
         denied
             .iter()
-            .map(|f| format!("  {}:{}:{} [{}] {}", f.file, f.line, f.col, f.rule.name(), f.message))
+            .map(|f| format!(
+                "  {}:{}:{} [{}] {}",
+                f.file,
+                f.line,
+                f.col,
+                f.rule.name(),
+                f.message
+            ))
             .collect::<Vec<_>>()
             .join("\n")
     );
@@ -259,12 +269,9 @@ fn fixture_tree_denies_under_the_cli_policy() {
     let report = detlint::scan_workspace(&root).expect("fixture scan succeeds");
     for rule in detlint::ALL_RULES {
         assert!(
-            report
-                .findings
-                .iter()
-                .any(|f| f.rule == *rule
-                    && f.status == Status::Deny
-                    && f.file.ends_with("/bad.rs")),
+            report.findings.iter().any(|f| f.rule == *rule
+                && f.status == Status::Deny
+                && f.file.ends_with("/bad.rs")),
             "{}: no denied finding from its bad fixture",
             rule.name()
         );
@@ -298,7 +305,9 @@ fn transitive_fixture_fails_deny_with_its_root_path_in_json() {
     };
     let v1 = detlint::scan_workspace_with(&root, &v1_opts).expect("fixture scan succeeds");
     assert!(
-        !v1.findings.iter().any(|f| f.file.starts_with("transitive/")),
+        !v1.findings
+            .iter()
+            .any(|f| f.file.starts_with("transitive/")),
         "non-transitive scan should not reach helper.rs: {:?}",
         v1.findings
     );
@@ -321,7 +330,10 @@ fn transitive_fixture_fails_deny_with_its_root_path_in_json() {
     // `--deny` would exit non-zero on this report.
     assert!(report.deny_count() >= 1);
     // The reachability path names the root and every hop.
-    let path = finding.path.as_ref().expect("transitive finding carries a path");
+    let path = finding
+        .path
+        .as_ref()
+        .expect("transitive finding carries a path");
     assert_eq!(
         path.as_slice(),
         [

@@ -159,6 +159,9 @@ fn main() -> ExitCode {
             );
         }
     }
-    eprintln!("fuzz_wire: {} crashing case(s) found", summary.crash_count());
+    eprintln!(
+        "fuzz_wire: {} crashing case(s) found",
+        summary.crash_count()
+    );
     ExitCode::FAILURE
 }

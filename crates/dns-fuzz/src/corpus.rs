@@ -11,8 +11,7 @@
 //! changing [`build_seeds`].
 
 use dns_wire::{
-    ClientSubnet, EdnsOption, Message, Name, Opt, Question, RData, Rcode, Record, RrClass,
-    RrType,
+    ClientSubnet, EdnsOption, Message, Name, Opt, Question, RData, Rcode, Record, RrClass, RrType,
 };
 use std::net::Ipv4Addr;
 
@@ -87,8 +86,8 @@ pub fn build_seeds() -> Vec<Vec<u8>> {
     push(&m);
 
     // 4: NXDOMAIN with SOA in authority — the negative-caching shape.
-    let mut m = Message::query(0x1005, zone.child("nope").unwrap(), RrType::A)
-        .with_rcode(Rcode::NxDomain);
+    let mut m =
+        Message::query(0x1005, zone.child("nope").unwrap(), RrType::A).with_rcode(Rcode::NxDomain);
     m.header.is_response = true;
     m.authorities.push(Record::new(
         zone.clone(),

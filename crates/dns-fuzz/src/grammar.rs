@@ -302,7 +302,10 @@ mod tests {
                 .expect("bounded encode never fails on a fitting question");
             assert!(bounded.len() <= CLASSIC_UDP_PAYLOAD);
             let back = Message::decode(&bounded).expect("truncated response must decode");
-            assert!(back.header.truncated, "TC must be set after dropping records");
+            assert!(
+                back.header.truncated,
+                "TC must be set after dropping records"
+            );
             assert!(back.answers.len() < m.answers.len());
             assert_eq!(&m.answers[..back.answers.len()], &back.answers[..]);
         }

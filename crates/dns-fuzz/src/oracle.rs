@@ -66,8 +66,7 @@ impl Outcome {
     /// the per-case contribution to the campaign digest.
     pub fn digest(&self) -> u64 {
         let mut h = fold(0x0D15_EA5E, self.class().as_bytes());
-        if let Outcome::DecodeErr(v) | Outcome::ReencodeErr(v) | Outcome::RedecodeErr(v) = self
-        {
+        if let Outcome::DecodeErr(v) | Outcome::ReencodeErr(v) | Outcome::RedecodeErr(v) = self {
             h = fold(h, v.as_bytes());
         }
         // Panic messages are deliberately excluded: they may contain
@@ -123,7 +122,9 @@ fn quiet_panics() {
 pub fn check(input: &[u8], check_id_space: bool) -> Outcome {
     quiet_panics();
     let stage = Cell::new("decode");
-    let result = catch_unwind(AssertUnwindSafe(|| run_pipeline(input, check_id_space, &stage)));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        run_pipeline(input, check_id_space, &stage)
+    }));
     match result {
         Ok(outcome) => outcome,
         Err(payload) => {
@@ -184,12 +185,7 @@ fn collect_names<'m>(m: &'m Message, cap: usize) -> Vec<&'m Name> {
     for q in &m.questions {
         push(&mut names, &q.qname);
     }
-    for rec in m
-        .answers
-        .iter()
-        .chain(&m.authorities)
-        .chain(&m.additionals)
-    {
+    for rec in m.answers.iter().chain(&m.authorities).chain(&m.additionals) {
         push(&mut names, &rec.name);
         use dns_wire::RData::*;
         match &rec.rdata {

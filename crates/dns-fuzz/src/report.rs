@@ -52,9 +52,9 @@ impl Summary {
         self.cases += 1;
         // wrapping_add is commutative, so the digest is independent of
         // accumulation order — the summary's thread-identity backbone.
-        self.digest = self
-            .digest
-            .wrapping_add(splitmix64(case_idx.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ outcome.digest()));
+        self.digest = self.digest.wrapping_add(splitmix64(
+            case_idx.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ outcome.digest(),
+        ));
         match &outcome {
             Outcome::Accepted => self.accepted += 1,
             Outcome::DecodeErr(v) => {

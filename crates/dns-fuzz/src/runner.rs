@@ -112,12 +112,17 @@ pub fn run(cfg: &Config) -> Summary {
                         let end = (start + CHUNK).min(cfg.cases);
                         local.merge(run_chunk(cfg, &corpus, start, end));
                     }
-                    done.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(local);
+                    done.lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .push(local);
                 });
             }
         });
         let mut s = Summary::default();
-        for part in done.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
+        for part in done
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        {
             s.merge(part);
         }
         s

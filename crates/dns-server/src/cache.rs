@@ -427,7 +427,12 @@ impl DnsCache {
     /// Looks up an answer. On a hit, returns the records with TTLs
     /// decremented by the time already spent in cache, plus the rcode
     /// (`NoError` for positive entries). Expired entries are removed.
-    pub fn get(&mut self, name: &Name, qtype: RrType, now: SimTime) -> Option<(Vec<Record>, Rcode)> {
+    pub fn get(
+        &mut self,
+        name: &Name,
+        qtype: RrType,
+        now: SimTime,
+    ) -> Option<(Vec<Record>, Rcode)> {
         let hit = self.get_shared(name, qtype, now)?;
         Some((hit.decayed_records().collect(), hit.rcode))
     }
@@ -617,7 +622,12 @@ mod tests {
     }
 
     fn a_record(name: &str, ttl: u32) -> Record {
-        Record::new(n(name), RrClass::In, ttl, RData::A(Ipv4Addr::new(1, 2, 3, 4)))
+        Record::new(
+            n(name),
+            RrClass::In,
+            ttl,
+            RData::A(Ipv4Addr::new(1, 2, 3, 4)),
+        )
     }
 
     fn at(secs: u64) -> SimTime {
@@ -683,7 +693,8 @@ mod tests {
         // expires rather than being served as uncacheable.
         let inside_final_second = at(29) + SimDuration::from_nanos(1);
         assert!(
-            c.get(&n("a.test"), RrType::A, inside_final_second).is_none(),
+            c.get(&n("a.test"), RrType::A, inside_final_second)
+                .is_none(),
             "sub-second remainder must expire, not serve TTL 0"
         );
         assert_eq!(c.hits, 1);
@@ -742,7 +753,9 @@ mod tests {
         // ...and a miss once the remainder is sub-second: negative
         // entries honour the same serve-≥1 s boundary as positive ones.
         let inside_final_second = at(9) + SimDuration::from_nanos(1);
-        assert!(c.get(&n("no.test"), RrType::A, inside_final_second).is_none());
+        assert!(c
+            .get(&n("no.test"), RrType::A, inside_final_second)
+            .is_none());
         assert!(c.is_empty(), "expired negative entry must be removed");
     }
 
@@ -763,11 +776,26 @@ mod tests {
     #[test]
     fn lru_eviction_at_capacity() {
         let mut c = DnsCache::new(2);
-        c.insert(&n("a.test"), RrType::A, vec![a_record("a.test", 300)], at(0));
-        c.insert(&n("b.test"), RrType::A, vec![a_record("b.test", 300)], at(1));
+        c.insert(
+            &n("a.test"),
+            RrType::A,
+            vec![a_record("a.test", 300)],
+            at(0),
+        );
+        c.insert(
+            &n("b.test"),
+            RrType::A,
+            vec![a_record("b.test", 300)],
+            at(1),
+        );
         // Touch `a` so `b` becomes the LRU victim on same expiry basis.
         assert!(c.get(&n("a.test"), RrType::A, at(2)).is_some());
-        c.insert(&n("c.test"), RrType::A, vec![a_record("c.test", 100)], at(3));
+        c.insert(
+            &n("c.test"),
+            RrType::A,
+            vec![a_record("c.test", 100)],
+            at(3),
+        );
         assert_eq!(c.len(), 2);
         // Neither entry has expired, so recency decides: `b` is older.
         assert!(c.get(&n("b.test"), RrType::A, at(4)).is_none());
@@ -780,14 +808,39 @@ mod tests {
         let mut c = DnsCache::new(3);
         // Two entries that expire at t=10, one long-lived entry that is
         // the LRU by last use.
-        c.insert(&n("dead1.test"), RrType::A, vec![a_record("dead1.test", 10)], at(0));
-        c.insert(&n("dead2.test"), RrType::A, vec![a_record("dead2.test", 10)], at(1));
-        c.insert(&n("live.test"), RrType::A, vec![a_record("live.test", 300)], at(2));
+        c.insert(
+            &n("dead1.test"),
+            RrType::A,
+            vec![a_record("dead1.test", 10)],
+            at(0),
+        );
+        c.insert(
+            &n("dead2.test"),
+            RrType::A,
+            vec![a_record("dead2.test", 10)],
+            at(1),
+        );
+        c.insert(
+            &n("live.test"),
+            RrType::A,
+            vec![a_record("live.test", 300)],
+            at(2),
+        );
         // At t=20 both dead entries have expired. Inserting at capacity
         // must purge them *both* rather than evicting one dead entry now
         // and the live LRU entry on the next insert.
-        c.insert(&n("new1.test"), RrType::A, vec![a_record("new1.test", 300)], at(20));
-        c.insert(&n("new2.test"), RrType::A, vec![a_record("new2.test", 300)], at(21));
+        c.insert(
+            &n("new1.test"),
+            RrType::A,
+            vec![a_record("new1.test", 300)],
+            at(20),
+        );
+        c.insert(
+            &n("new2.test"),
+            RrType::A,
+            vec![a_record("new2.test", 300)],
+            at(21),
+        );
         assert_eq!(c.len(), 3);
         assert!(
             c.get(&n("live.test"), RrType::A, at(22)).is_some(),
@@ -800,12 +853,27 @@ mod tests {
     #[test]
     fn live_lru_eviction_only_once_no_entry_is_expired() {
         let mut c = DnsCache::new(2);
-        c.insert(&n("old.test"), RrType::A, vec![a_record("old.test", 5)], at(0));
-        c.insert(&n("fresh.test"), RrType::A, vec![a_record("fresh.test", 300)], at(1));
+        c.insert(
+            &n("old.test"),
+            RrType::A,
+            vec![a_record("old.test", 5)],
+            at(0),
+        );
+        c.insert(
+            &n("fresh.test"),
+            RrType::A,
+            vec![a_record("fresh.test", 300)],
+            at(1),
+        );
         // `old` is expired at t=10: it must be the one to go even though
         // a plain LRU would also have picked it here; the point is the
         // cache never holds an expired entry past a capacity insert.
-        c.insert(&n("new.test"), RrType::A, vec![a_record("new.test", 300)], at(10));
+        c.insert(
+            &n("new.test"),
+            RrType::A,
+            vec![a_record("new.test", 300)],
+            at(10),
+        );
         assert!(c.get(&n("fresh.test"), RrType::A, at(11)).is_some());
         assert!(c.get(&n("new.test"), RrType::A, at(11)).is_some());
         assert!(c.get(&n("old.test"), RrType::A, at(11)).is_none());
@@ -815,10 +883,25 @@ mod tests {
     fn reinsert_refreshes_entry_and_recency() {
         let mut c = DnsCache::new(2);
         c.insert(&n("a.test"), RrType::A, vec![a_record("a.test", 10)], at(0));
-        c.insert(&n("b.test"), RrType::A, vec![a_record("b.test", 300)], at(1));
+        c.insert(
+            &n("b.test"),
+            RrType::A,
+            vec![a_record("b.test", 300)],
+            at(1),
+        );
         // Re-inserting `a` must refresh its expiry and make `b` the LRU.
-        c.insert(&n("a.test"), RrType::A, vec![a_record("a.test", 300)], at(2));
-        c.insert(&n("c.test"), RrType::A, vec![a_record("c.test", 300)], at(3));
+        c.insert(
+            &n("a.test"),
+            RrType::A,
+            vec![a_record("a.test", 300)],
+            at(2),
+        );
+        c.insert(
+            &n("c.test"),
+            RrType::A,
+            vec![a_record("c.test", 300)],
+            at(3),
+        );
         assert!(c.get(&n("a.test"), RrType::A, at(50)).is_some());
         assert!(c.get(&n("b.test"), RrType::A, at(50)).is_none());
     }
@@ -887,8 +970,12 @@ mod tests {
                 match splitmix64(&mut rng) % 10 {
                     0..=3 => {
                         let ttl = 1 + (splitmix64(&mut rng) % 40) as u32;
-                        let rec =
-                            Record::new(name.clone(), RrClass::In, ttl, RData::A(Ipv4Addr::LOCALHOST));
+                        let rec = Record::new(
+                            name.clone(),
+                            RrClass::In,
+                            ttl,
+                            RData::A(Ipv4Addr::LOCALHOST),
+                        );
                         old.insert(name, RrType::A, vec![rec.clone()], now);
                         new.insert(name, RrType::A, vec![rec], now);
                     }
@@ -903,7 +990,11 @@ mod tests {
                         assert_eq!(a, b, "seed {seed} step {step}: lookup diverged");
                     }
                 }
-                assert_eq!(old.len(), new.len(), "seed {seed} step {step}: size diverged");
+                assert_eq!(
+                    old.len(),
+                    new.len(),
+                    "seed {seed} step {step}: size diverged"
+                );
                 assert_eq!(old.hits, new.hits, "seed {seed} step {step}: hits diverged");
                 assert_eq!(
                     old.misses, new.misses,

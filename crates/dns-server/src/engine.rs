@@ -324,8 +324,7 @@ mod tests {
     fn ecs_option_is_echoed_back() {
         let mut e = engine();
         let ecs = dns_wire::ClientSubnet::query("172.16.0.0".parse().unwrap(), 12);
-        let q = Message::query(6, n("video.mycdn.ciab.test"), RrType::A)
-            .with_client_subnet(ecs);
+        let q = Message::query(6, n("video.mycdn.ciab.test"), RrType::A).with_client_subnet(ecs);
         let resp = e.resolve(at(0), CLIENT, 4000, &q).unwrap();
         assert_eq!(resp.client_subnet(), Some(&ecs));
     }

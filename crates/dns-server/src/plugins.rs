@@ -44,9 +44,7 @@ impl Plugin for AuthoritativePlugin {
 
     fn on_query(&mut self, _ctx: &QueryCtx, query: &Message) -> PluginDecision {
         let Some(q) = query.question() else {
-            return PluginDecision::Respond(
-                Message::response_to(query).with_rcode(Rcode::FormErr),
-            );
+            return PluginDecision::Respond(Message::response_to(query).with_rcode(Rcode::FormErr));
         };
         let Some(zone) = self.zone_for(&q.qname) else {
             return PluginDecision::Continue;

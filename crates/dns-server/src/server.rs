@@ -298,7 +298,11 @@ mod tests {
     #[test]
     fn response_id_and_question_echo_the_query() {
         let mut zone = Zone::new(Name::parse("z.test").unwrap());
-        zone.add_a(Name::parse("a.z.test").unwrap(), Ipv4Addr::new(4, 4, 4, 4), 60);
+        zone.add_a(
+            Name::parse("a.z.test").unwrap(),
+            Ipv4Addr::new(4, 4, 4, 4),
+            60,
+        );
         let q = Message::query(0xABCD, Name::parse("a.z.test").unwrap(), RrType::A);
         let (net, _server, probe) = world(
             vec![Box::new(AuthoritativePlugin::new(vec![zone]))],

@@ -187,12 +187,8 @@ impl Zone {
                     let mut glue = Vec::new();
                     for n in &ns {
                         if let RData::Ns(target) = &n.rdata {
-                            if let Some(g) =
-                                target.lookup_id().and_then(|t| self.records.get(&t))
-                            {
-                                glue.extend(
-                                    g.iter().filter(|r| r.rrtype() == RrType::A).cloned(),
-                                );
+                            if let Some(g) = target.lookup_id().and_then(|t| self.records.get(&t)) {
+                                glue.extend(g.iter().filter(|r| r.rrtype() == RrType::A).cloned());
                             }
                         }
                     }
@@ -277,9 +273,21 @@ mod tests {
 
     fn cdn_zone() -> Zone {
         let mut z = Zone::new(n("mycdn.ciab.test"));
-        z.add_a(n("cache-1.mycdn.ciab.test"), Ipv4Addr::new(10, 0, 0, 11), 30)
-            .add_a(n("cache-1.mycdn.ciab.test"), Ipv4Addr::new(10, 0, 0, 12), 30)
-            .add_cname(n("video.demo1.mycdn.ciab.test"), n("cache-1.mycdn.ciab.test"), 60);
+        z.add_a(
+            n("cache-1.mycdn.ciab.test"),
+            Ipv4Addr::new(10, 0, 0, 11),
+            30,
+        )
+        .add_a(
+            n("cache-1.mycdn.ciab.test"),
+            Ipv4Addr::new(10, 0, 0, 12),
+            30,
+        )
+        .add_cname(
+            n("video.demo1.mycdn.ciab.test"),
+            n("cache-1.mycdn.ciab.test"),
+            60,
+        );
         z
     }
 
@@ -323,10 +331,7 @@ mod tests {
         match z.lookup(&n("www.example.com"), RrType::A) {
             LookupResult::Answer(recs) => {
                 assert_eq!(recs.len(), 1);
-                assert_eq!(
-                    recs[0].rdata.as_cname().unwrap(),
-                    &n("cdn.other.net")
-                );
+                assert_eq!(recs[0].rdata.as_cname().unwrap(), &n("cdn.other.net"));
             }
             other => panic!("expected answer, got {other:?}"),
         }

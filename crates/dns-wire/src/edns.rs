@@ -157,7 +157,11 @@ pub fn truncate_addr(addr: IpAddr, prefix: u8) -> IpAddr {
     match addr {
         IpAddr::V4(ip) => {
             let p = prefix.min(32);
-            let mask: u32 = if p == 0 { 0 } else { u32::MAX << (32 - u32::from(p)) };
+            let mask: u32 = if p == 0 {
+                0
+            } else {
+                u32::MAX << (32 - u32::from(p))
+            };
             IpAddr::V4(Ipv4Addr::from(u32::from(ip) & mask))
         }
         IpAddr::V6(ip) => {
@@ -243,8 +247,7 @@ impl Opt {
                     w.write_bytes(&body);
                 }
                 EdnsOption::Other { code, data } => {
-                    let len = u16::try_from(data.len())
-                        .map_err(|_| WireError::BadEdnsOption)?;
+                    let len = u16::try_from(data.len()).map_err(|_| WireError::BadEdnsOption)?;
                     w.write_u16(*code);
                     w.write_u16(len);
                     w.write_bytes(data);
@@ -333,8 +336,7 @@ mod tests {
 
     #[test]
     fn client_subnet_v6_roundtrips() {
-        let cs = ClientSubnet::query("2001:db8:abcd::1".parse().unwrap(), 48)
-            .with_scope(48);
+        let cs = ClientSubnet::query("2001:db8:abcd::1".parse().unwrap(), 48).with_scope(48);
         let opt = Opt::with_client_subnet(cs);
         assert_eq!(roundtrip(&opt).client_subnet(), Some(&cs));
     }

@@ -95,7 +95,10 @@ impl fmt::Display for WireError {
                 write!(f, "encoded message of {n} bytes exceeds 65535")
             }
             WireError::TooManyRecords { section, count } => {
-                write!(f, "{section} section holds {count} records, exceeding 65535")
+                write!(
+                    f,
+                    "{section} section holds {count} records, exceeding 65535"
+                )
             }
             WireError::CharacterStringTooLong(n) => {
                 write!(f, "character-string of {n} octets exceeds 255")

@@ -155,8 +155,7 @@ impl Tables {
             match self.find(h, suffix) {
                 Some(id) => parent = id.0,
                 None => {
-                    let mut canon =
-                        Vec::with_capacity(suffix.iter().map(|l| l.len() + 1).sum());
+                    let mut canon = Vec::with_capacity(suffix.iter().map(|l| l.len() + 1).sum());
                     for l in suffix {
                         canon.push(l.len() as u8);
                         canon.extend(l.iter().map(|b| b.to_ascii_lowercase()));
@@ -377,12 +376,12 @@ mod tests {
         // "a.b.zz-intern-dot.".
         use crate::wire::Reader;
         let embedded = [
-            3, b'a', b'.', b'b', 13, b'z', b'z', b'-', b'i', b'n', b't', b'e', b'r', b'n',
-            b'-', b'd', b'o', b't', 0,
+            3, b'a', b'.', b'b', 13, b'z', b'z', b'-', b'i', b'n', b't', b'e', b'r', b'n', b'-',
+            b'd', b'o', b't', 0,
         ];
         let split = [
-            1, b'a', 1, b'b', 13, b'z', b'z', b'-', b'i', b'n', b't', b'e', b'r', b'n',
-            b'-', b'd', b'o', b't', 0,
+            1, b'a', 1, b'b', 13, b'z', b'z', b'-', b'i', b'n', b't', b'e', b'r', b'n', b'-', b'd',
+            b'o', b't', 0,
         ];
         let a = Name::decode(&mut Reader::new(&embedded)).unwrap();
         let b = Name::decode(&mut Reader::new(&split)).unwrap();

@@ -208,8 +208,7 @@ impl Message {
         for q in &self.questions {
             q.encode(&mut w)?;
         }
-        let Some(budget) = limit.checked_sub(opt_bytes.len()).filter(|&b| w.len() <= b)
-        else {
+        let Some(budget) = limit.checked_sub(opt_bytes.len()).filter(|&b| w.len() <= b) else {
             // Not even header + questions + OPT fit the transport.
             return Err(WireError::MessageTooLong(w.len() + opt_bytes.len()));
         };
@@ -324,7 +323,11 @@ impl fmt::Display for Message {
             f,
             ";; id {} {} {} q={} an={} ns={} ar={}",
             self.header.id,
-            if self.header.is_response { "resp" } else { "query" },
+            if self.header.is_response {
+                "resp"
+            } else {
+                "query"
+            },
             self.header.rcode,
             self.questions.len(),
             self.answers.len(),
@@ -405,8 +408,7 @@ mod tests {
     #[test]
     fn edns_is_lifted_and_relowered() {
         let cs = ClientSubnet::query("172.16.0.0".parse().unwrap(), 12);
-        let m = Message::query(9, Name::parse("e.test").unwrap(), RrType::A)
-            .with_client_subnet(cs);
+        let m = Message::query(9, Name::parse("e.test").unwrap(), RrType::A).with_client_subnet(cs);
         let bytes = m.encode().unwrap();
         let back = Message::decode(&bytes).unwrap();
         assert_eq!(back.client_subnet(), Some(&cs));
@@ -474,8 +476,8 @@ mod tests {
 
     #[test]
     fn with_rcode_builder() {
-        let m = Message::query(1, Name::parse("x.y").unwrap(), RrType::A)
-            .with_rcode(Rcode::NxDomain);
+        let m =
+            Message::query(1, Name::parse("x.y").unwrap(), RrType::A).with_rcode(Rcode::NxDomain);
         assert_eq!(m.header.rcode, Rcode::NxDomain);
     }
 

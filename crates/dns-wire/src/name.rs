@@ -313,10 +313,7 @@ impl Name {
 }
 
 fn eq_ignore_case(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.eq_ignore_ascii_case(y))
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.eq_ignore_ascii_case(y))
 }
 
 impl PartialEq for Name {
@@ -507,15 +504,24 @@ mod tests {
     #[test]
     fn compression_points_to_shared_suffix() {
         let mut w = Writer::new();
-        Name::parse("www.example.com").unwrap().encode(&mut w).unwrap();
+        Name::parse("www.example.com")
+            .unwrap()
+            .encode(&mut w)
+            .unwrap();
         let before = w.len();
-        Name::parse("mail.example.com").unwrap().encode(&mut w).unwrap();
+        Name::parse("mail.example.com")
+            .unwrap()
+            .encode(&mut w)
+            .unwrap();
         // "mail" label (5 bytes) + pointer (2 bytes) = 7 bytes, far less
         // than the 18 an uncompressed encoding would need.
         assert_eq!(w.len() - before, 7);
         let buf = w.finish().unwrap();
         let mut r = Reader::new(&buf);
-        assert_eq!(Name::decode(&mut r).unwrap().to_string(), "www.example.com.");
+        assert_eq!(
+            Name::decode(&mut r).unwrap().to_string(),
+            "www.example.com."
+        );
         assert_eq!(
             Name::decode(&mut r).unwrap().to_string(),
             "mail.example.com."
@@ -682,10 +688,12 @@ mod tests {
 
     #[test]
     fn ordering_is_right_to_left() {
-        let mut names = [Name::parse("b.example.com").unwrap(),
+        let mut names = [
+            Name::parse("b.example.com").unwrap(),
             Name::parse("example.com").unwrap(),
             Name::parse("a.example.com").unwrap(),
-            Name::parse("example.net").unwrap()];
+            Name::parse("example.net").unwrap(),
+        ];
         names.sort();
         let strs: Vec<String> = names.iter().map(|n| n.to_string()).collect();
         assert_eq!(

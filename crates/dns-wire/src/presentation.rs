@@ -82,7 +82,10 @@ impl FromStr for Record {
         let rest: Vec<&str> = tokens.collect();
         let need = |n: usize| -> Result<(), PresentationError> {
             if rest.len() < n {
-                Err(err(format!("{rtype} needs {n} field(s), got {}", rest.len())))
+                Err(err(format!(
+                    "{rtype} needs {n} field(s), got {}",
+                    rest.len()
+                )))
             } else {
                 Ok(())
             }
@@ -241,7 +244,9 @@ mod tests {
         assert!("a.test. 60 IN A banana".parse::<Record>().is_err());
         assert!("a.test. 60 IN WKS 1".parse::<Record>().is_err());
         assert!("a.test. 60 IN MX ten mx.test.".parse::<Record>().is_err());
-        let e = "a.test. 60 IN TXT \"unterminated".parse::<Record>().unwrap_err();
+        let e = "a.test. 60 IN TXT \"unterminated"
+            .parse::<Record>()
+            .unwrap_err();
         assert!(e.to_string().contains("unterminated"));
     }
 

@@ -51,9 +51,8 @@ fn arb_rdata() -> impl Strategy<Value = RData> {
                 target
             }
         ),
-        (1000u16..4000, proptest::collection::vec(any::<u8>(), 0..32)).prop_map(
-            |(rrtype, data)| RData::Unknown { rrtype, data }
-        ),
+        (1000u16..4000, proptest::collection::vec(any::<u8>(), 0..32))
+            .prop_map(|(rrtype, data)| RData::Unknown { rrtype, data }),
     ]
 }
 
@@ -64,14 +63,10 @@ fn arb_record() -> impl Strategy<Value = Record> {
 
 fn arb_ecs() -> impl Strategy<Value = ClientSubnet> {
     prop_oneof![
-        (any::<u32>(), 0u8..=32).prop_map(|(ip, p)| ClientSubnet::query(
-            IpAddr::V4(Ipv4Addr::from(ip)),
-            p
-        )),
-        (any::<u128>(), 0u8..=128).prop_map(|(ip, p)| ClientSubnet::query(
-            IpAddr::V6(Ipv6Addr::from(ip)),
-            p
-        )),
+        (any::<u32>(), 0u8..=32)
+            .prop_map(|(ip, p)| ClientSubnet::query(IpAddr::V4(Ipv4Addr::from(ip)), p)),
+        (any::<u128>(), 0u8..=128)
+            .prop_map(|(ip, p)| ClientSubnet::query(IpAddr::V6(Ipv6Addr::from(ip)), p)),
     ]
 }
 
@@ -212,16 +207,22 @@ fn arb_compressible_rdata() -> impl Strategy<Value = RData> {
         arb_shared_suffix_name().prop_map(RData::Cname),
         arb_shared_suffix_name().prop_map(RData::Ns),
         arb_shared_suffix_name().prop_map(RData::Ptr),
-        (any::<u16>(), arb_shared_suffix_name())
-            .prop_map(|(preference, exchange)| RData::Mx { preference, exchange }),
-        (any::<u16>(), any::<u16>(), any::<u16>(), arb_shared_suffix_name()).prop_map(
-            |(priority, weight, port, target)| RData::Srv {
+        (any::<u16>(), arb_shared_suffix_name()).prop_map(|(preference, exchange)| RData::Mx {
+            preference,
+            exchange
+        }),
+        (
+            any::<u16>(),
+            any::<u16>(),
+            any::<u16>(),
+            arb_shared_suffix_name()
+        )
+            .prop_map(|(priority, weight, port, target)| RData::Srv {
                 priority,
                 weight,
                 port,
                 target
-            }
-        ),
+            }),
         (arb_shared_suffix_name(), arb_shared_suffix_name()).prop_map(|(mname, rname)| {
             RData::Soa {
                 mname,

@@ -132,7 +132,11 @@ fn main() {
     if all || what == "fig5" || what == "telemetry" {
         let cfg = TestbedConfig {
             seed: SEED,
-            radio: if nr { RadioProfile::Nr } else { RadioProfile::Lte },
+            radio: if nr {
+                RadioProfile::Nr
+            } else {
+                RadioProfile::Lte
+            },
             ..TestbedConfig::default()
         };
         // One pass over the six worlds yields both the figure and the
@@ -162,7 +166,9 @@ fn main() {
     if all || what == "ecs" {
         let fig = experiments::ecs_experiment(SEED);
         print!("{}", fig.render());
-        println!("paper's factors: x1.01, x1.08, x0.95 (\"ECS may even increase DNS resolution time\")");
+        println!(
+            "paper's factors: x1.01, x1.08, x0.95 (\"ECS may even increase DNS resolution time\")"
+        );
         if json {
             println!("{}", serde_json::to_string_pretty(&fig).unwrap());
         }
@@ -191,7 +197,11 @@ fn main() {
                 format!(
                     "t={:.1}s -> {}",
                     w[1].0 / 1000.0,
-                    if w[1].1 == r.provider { "provider L-DNS" } else { "MEC DNS" }
+                    if w[1].1 == r.provider {
+                        "provider L-DNS"
+                    } else {
+                        "MEC DNS"
+                    }
                 )
             })
             .collect();
@@ -248,9 +258,18 @@ fn main() {
     if all || what == "recursion" {
         let r = experiments::recursion_ablation(SEED);
         println!("== recursion — stub-domain redirect vs full recursion at the MEC L-DNS ==");
-        println!("stub-domain to collocated C-DNS (cold): {:>7.1} ms", r.stub_cold_ms);
-        println!("full recursion via cloud hierarchy (cold): {:>4.1} ms", r.recursive_cold_ms);
-        println!("full recursion, answer cached at L-DNS: {:>6.1} ms", r.recursive_warm_ms);
+        println!(
+            "stub-domain to collocated C-DNS (cold): {:>7.1} ms",
+            r.stub_cold_ms
+        );
+        println!(
+            "full recursion via cloud hierarchy (cold): {:>4.1} ms",
+            r.recursive_cold_ms
+        );
+        println!(
+            "full recursion, answer cached at L-DNS: {:>6.1} ms",
+            r.recursive_warm_ms
+        );
         println!(
             "hierarchical lookups cost {:.1}x on every cache-cold query",
             r.recursive_cold_ms / r.stub_cold_ms
@@ -260,11 +279,18 @@ fn main() {
     if all || what == "load" {
         let points = experiments::load_experiment(SEED);
         println!("== load — MEC DNS under load, scaling out behind one ClusterIP ==");
-        println!("{:>5} {:>9} {:>10} {:>10} {:>10}", "UEs", "replicas", "mean(ms)", "p92(ms)", "answered");
+        println!(
+            "{:>5} {:>9} {:>10} {:>10} {:>10}",
+            "UEs", "replicas", "mean(ms)", "p92(ms)", "answered"
+        );
         for p in &points {
             println!(
                 "{:>5} {:>9} {:>10.2} {:>10.2} {:>9.1}%",
-                p.ues, p.replicas, p.mean_ms, p.p92_ms, p.answered * 100.0
+                p.ues,
+                p.replicas,
+                p.mean_ms,
+                p.p92_ms,
+                p.answered * 100.0
             );
         }
         println!();
@@ -274,11 +300,15 @@ fn main() {
         println!("== content — end-to-end access latency, MEC-CDN vs classic ==");
         println!(
             "MEC-CDN:  DNS {:.1} ms + warm fetch {:.1} ms = {:.1} ms",
-            r.mec_dns_ms, r.mec_fetch_ms, r.mec_total_ms()
+            r.mec_dns_ms,
+            r.mec_fetch_ms,
+            r.mec_total_ms()
         );
         println!(
             "classic:  DNS {:.1} ms + fetch {:.1} ms = {:.1} ms",
-            r.classic_dns_ms, r.classic_fetch_ms, r.classic_total_ms()
+            r.classic_dns_ms,
+            r.classic_fetch_ms,
+            r.classic_total_ms()
         );
         println!("end-to-end speedup: {:.1}x", r.speedup());
         println!();
@@ -344,10 +374,22 @@ fn ipreuse(seed: u64) {
         .collect();
     let plan = IpReusePlan::apply(&mut cluster, &tr, &ldns, &cache, &domains);
     let shared = plan.verify(&cluster).expect("plan verifies");
-    println!("== ipreuse — public IPs for {} CDN customers ==", plan.domains.len());
-    println!("per-customer deployment would expose: {} public IPs", plan.naive_public_ips);
-    println!("MEC-CDN design exposes:               {} (shared resolver + cache ClusterIPs)", plan.reused_public_ips);
-    println!("saved: {} addresses; all domains resolve to {shared}", plan.saved());
+    println!(
+        "== ipreuse — public IPs for {} CDN customers ==",
+        plan.domains.len()
+    );
+    println!(
+        "per-customer deployment would expose: {} public IPs",
+        plan.naive_public_ips
+    );
+    println!(
+        "MEC-CDN design exposes:               {} (shared resolver + cache ClusterIPs)",
+        plan.reused_public_ips
+    );
+    println!(
+        "saved: {} addresses; all domains resolve to {shared}",
+        plan.saved()
+    );
 }
 
 #[cfg(test)]

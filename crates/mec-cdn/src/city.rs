@@ -204,7 +204,13 @@ struct Enb {
 }
 
 impl Enb {
-    fn new(fleet: Rc<RefCell<UeFleet>>, names: Rc<Vec<Name>>, resolver: IpAddr, lo: u32, hi: u32) -> Self {
+    fn new(
+        fleet: Rc<RefCell<UeFleet>>,
+        names: Rc<Vec<Name>>,
+        resolver: IpAddr,
+        lo: u32,
+        hi: u32,
+    ) -> Self {
         Enb {
             fleet,
             names,

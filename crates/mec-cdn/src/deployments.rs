@@ -21,7 +21,7 @@
 //! of every bar being the LTE wireless component.
 
 use crate::measurement::{MeasuredQuery, PlannedQuery, QueryClient, SplitLatency};
-use cdn_sim::{Catalog, CacheServer, Origin, Selection, TrafficRouterPlugin};
+use cdn_sim::{CacheServer, Catalog, Origin, Selection, TrafficRouterPlugin};
 use dns_server::plugins::{CachePlugin, KubernetesPlugin, StubDomainPlugin};
 use dns_server::{DnsServer, SendStrategy, ServerConfig};
 use dns_wire::{ClientSubnet, Name};
@@ -275,8 +275,7 @@ impl Deployment {
                     DnsServer::new(mec_dns_config(cfg.ecs), vec![Box::new(router_plugin())])
                         .with_telemetry(tel.clone()),
                 );
-                let svc =
-                    cluster.create_service(&mut net, "cdn", "trafficrouter", &[cdns_pod]);
+                let svc = cluster.create_service(&mut net, "cdn", "trafficrouter", &[cdns_pod]);
                 svc.cluster_ip
             }
             DeploymentKind::MecLdnsLanCdns => {
@@ -303,9 +302,7 @@ impl Deployment {
                 net.add_default_route(node, pgw);
                 addr
             }
-            DeploymentKind::LanLdns
-            | DeploymentKind::GoogleDns
-            | DeploymentKind::CloudflareDns => {
+            DeploymentKind::LanLdns | DeploymentKind::GoogleDns | DeploymentKind::CloudflareDns => {
                 // The commercial C-DNS lives in the far cloud; resolvers
                 // reach it over their own paths (wired below).
                 "192.0.2.30".parse().unwrap()
@@ -365,32 +362,28 @@ impl Deployment {
                 net.add_default_route(node, pgw);
                 addr
             }
-            DeploymentKind::GoogleDns => {
-                build_public_resolver(
-                    &mut net,
-                    pgw,
-                    "google-dns",
-                    "8.8.8.8",
-                    dist::GOOGLE,
-                    dist::GOOGLE_TO_CDNS,
-                    router_plugin(),
-                    cfg,
-                    &tel,
-                )
-            }
-            DeploymentKind::CloudflareDns => {
-                build_public_resolver(
-                    &mut net,
-                    pgw,
-                    "cloudflare-dns",
-                    "1.1.1.1",
-                    dist::CLOUDFLARE,
-                    dist::CLOUDFLARE_TO_CDNS,
-                    router_plugin(),
-                    cfg,
-                    &tel,
-                )
-            }
+            DeploymentKind::GoogleDns => build_public_resolver(
+                &mut net,
+                pgw,
+                "google-dns",
+                "8.8.8.8",
+                dist::GOOGLE,
+                dist::GOOGLE_TO_CDNS,
+                router_plugin(),
+                cfg,
+                &tel,
+            ),
+            DeploymentKind::CloudflareDns => build_public_resolver(
+                &mut net,
+                pgw,
+                "cloudflare-dns",
+                "1.1.1.1",
+                dist::CLOUDFLARE,
+                dist::CLOUDFLARE_TO_CDNS,
+                router_plugin(),
+                cfg,
+                &tel,
+            ),
         };
 
         // ---- The UE -----------------------------------------------------
@@ -429,7 +422,11 @@ impl Deployment {
     /// the wireless/resolver split from the P-GW tap.
     pub fn run_measure(&mut self) -> (Vec<MeasuredQuery>, Vec<SplitLatency>) {
         self.net.run();
-        let measured = self.net.behavior::<QueryClient>(self.client).measured.clone();
+        let measured = self
+            .net
+            .behavior::<QueryClient>(self.client)
+            .measured
+            .clone();
         self.last_tap = self.net.take_tap(self.pgw);
         let split = crate::measurement::split_wireless(&self.last_tap, &measured);
         (measured, split)
@@ -448,8 +445,7 @@ fn build_far_cdns(
     let node = net.add_node(
         "cdns-cloud",
         [addr],
-        DnsServer::new(mec_dns_config(cfg.ecs), vec![Box::new(router)])
-            .with_telemetry(tel.clone()),
+        DnsServer::new(mec_dns_config(cfg.ecs), vec![Box::new(router)]).with_telemetry(tel.clone()),
     );
     net.connect(pgw, node, link(dist::FAR_CLOUD));
     net.add_default_route(node, pgw);
@@ -476,8 +472,7 @@ fn build_public_resolver(
     let cdns = net.add_node(
         &format!("{name}-cdns"),
         [cdns_addr],
-        DnsServer::new(mec_dns_config(cfg.ecs), vec![Box::new(router)])
-            .with_telemetry(tel.clone()),
+        DnsServer::new(mec_dns_config(cfg.ecs), vec![Box::new(router)]).with_telemetry(tel.clone()),
     );
     let resolver_ip: IpAddr = addr.parse().unwrap();
     let resolver = net.add_node(
@@ -518,8 +513,14 @@ mod tests {
         }
         let answered = measured.iter().filter(|m| !m.outcome.timed_out).count();
         (
-            total.summarize().map(|s| s.trimmed_mean_ms).unwrap_or(f64::NAN),
-            wireless.summarize().map(|s| s.trimmed_mean_ms).unwrap_or(f64::NAN),
+            total
+                .summarize()
+                .map(|s| s.trimmed_mean_ms)
+                .unwrap_or(f64::NAN),
+            wireless
+                .summarize()
+                .map(|s| s.trimmed_mean_ms)
+                .unwrap_or(f64::NAN),
             answered,
         )
     }

@@ -300,10 +300,7 @@ mod tests {
         // 200 arrivals in the first 100 ms → 200 qps over the 1 s
         // window until they age out at t ≈ 1.1 s, then 0 qps.
         for i in 0..200u64 {
-            monitor.record(
-                "cdn/dns",
-                SimTime::ZERO + SimDuration::from_micros(i * 500),
-            );
+            monitor.record("cdn/dns", SimTime::ZERO + SimDuration::from_micros(i * 500));
         }
 
         let mut net = netsim::Network::new(3);

@@ -55,9 +55,7 @@ impl Role {
             Role::WebProvider => {
                 "Delivering web services that use CDNs to provide better services to end users"
             }
-            Role::CloudProvider => {
-                "Providing server infrastructure to one or more of the above"
-            }
+            Role::CloudProvider => "Providing server infrastructure to one or more of the above",
             Role::CdnBroker => {
                 "Providing a consolidated service spanning multiple CDNs to CDN customers"
             }
@@ -136,11 +134,7 @@ impl Ecosystem {
             entities: vec![
                 Entity::new(
                     "edge operator",
-                    [
-                        Role::CellularProvider,
-                        Role::MecProvider,
-                        Role::DnsProvider,
-                    ],
+                    [Role::CellularProvider, Role::MecProvider, Role::DnsProvider],
                 ),
                 Entity::new("cdn operator", [Role::CdnProvider, Role::DnsProvider]),
                 Entity::new("content site", [Role::WebProvider]),
@@ -199,8 +193,10 @@ mod tests {
     fn proposal_consolidates_dns_into_the_mec_provider() {
         let eco = Ecosystem::mec_cdn_proposal();
         let dns_holders = eco.holders(Role::DnsProvider);
-        assert!(dns_holders.iter().any(|e| e.has(Role::MecProvider)),
-            "the MEC provider must own a DNS role for single-hop resolution");
+        assert!(
+            dns_holders.iter().any(|e| e.has(Role::MecProvider)),
+            "the MEC provider must own a DNS role for single-hop resolution"
+        );
         // The broker disappears from the proposal.
         assert!(eco.holders(Role::CdnBroker).is_empty());
     }

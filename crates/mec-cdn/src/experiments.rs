@@ -132,7 +132,11 @@ fn build_access_world(kind: AccessKind, seed: u64) -> AccessWorld {
         ),
     );
     // L-DNS ↔ commercial C-DNS: a real WAN distance.
-    net.connect(ldns, cdns, LinkProfile::with_latency(Latency::skewed(20.0, 26.0, 5.0)));
+    net.connect(
+        ldns,
+        cdns,
+        LinkProfile::with_latency(Latency::skewed(20.0, 26.0, 5.0)),
+    );
     net.add_default_route(cdns, ldns);
 
     // Gateway between the device and the resolver network.
@@ -172,7 +176,11 @@ fn build_access_world(kind: AccessKind, seed: u64) -> AccessWorld {
         ["10.99.0.7".parse::<IpAddr>().unwrap()],
         QueryClient::new(crowd_plan),
     );
-    net.connect(crowd, ldns, LinkProfile::with_latency(Latency::UniformMs(0.5, 1.5)));
+    net.connect(
+        crowd,
+        ldns,
+        LinkProfile::with_latency(Latency::UniformMs(0.5, 1.5)),
+    );
 
     // The measured device, behind its access link.
     let plan: Vec<PlannedQuery> = (0..FIG2_QUERIES_PER_SITE)
@@ -223,7 +231,11 @@ pub fn fig2_fig3_with(seed: u64, runner: &Runner) -> (Figure, Vec<DistributionFi
         let kind = kinds[idx];
         let mut world = build_access_world(kind, trial_seed);
         world.net.run();
-        let measured = world.net.behavior::<QueryClient>(world.client).measured.clone();
+        let measured = world
+            .net
+            .behavior::<QueryClient>(world.client)
+            .measured
+            .clone();
         let mut trial = AccessTrial {
             bars: Vec::new(),
             pools: Vec::new(),
@@ -384,10 +396,8 @@ pub fn fig5_telemetry_with(cfg: &TestbedConfig, runner: &Runner) -> (Figure, Tel
             .unwrap_or(f64::NAN)
     };
     let mec = get("MEC L-DNS w/ MEC C-DNS");
-    fig.notes.push((
-        "speedup_vs_worst".to_string(),
-        get("Cloudflare DNS") / mec,
-    ));
+    fig.notes
+        .push(("speedup_vs_worst".to_string(), get("Cloudflare DNS") / mec));
     fig.notes.push((
         "gap_vs_lan_cdns_ms".to_string(),
         get("MEC L-DNS w/ LAN C-DNS") - mec,
@@ -516,7 +526,11 @@ pub fn fallback_experiment(seed: u64) -> Figure {
         qc.engine_mut().query_timeout = SimDuration::from_millis(500);
         qc.engine_mut().retries = 0;
         let client = net.add_node("ue", ["172.16.0.9".parse::<IpAddr>().unwrap()], qc);
-        net.connect(client, mec, LinkProfile::with_latency(Latency::UniformMs(1.0, 2.0)));
+        net.connect(
+            client,
+            mec,
+            LinkProfile::with_latency(Latency::UniformMs(1.0, 2.0)),
+        );
         net.connect(
             client,
             provider,
@@ -537,12 +551,18 @@ pub fn fallback_experiment(seed: u64) -> Figure {
                 }
             }
             if let Some(sum) = s.summarize() {
-                fig.bars
-                    .push(Bar::from_summary(format!("{} / {class}", policy.label()), &sum));
+                fig.bars.push(Bar::from_summary(
+                    format!("{} / {class}", policy.label()),
+                    &sum,
+                ));
             }
             fig.notes.push((
                 format!("availability[{} / {class}]", policy.label()),
-                if all == 0 { 0.0 } else { ok as f64 / all as f64 },
+                if all == 0 {
+                    0.0
+                } else {
+                    ok as f64 / all as f64
+                },
             ));
         }
     }
@@ -766,17 +786,26 @@ pub fn recursion_ablation(seed: u64) -> RecursionAblation {
         let root = net.add_node(
             "root",
             ["198.51.100.1".parse::<IpAddr>().unwrap()],
-            DnsServer::new(cloud_cfg(), vec![Box::new(AuthoritativePlugin::new(vec![root_zone]))]),
+            DnsServer::new(
+                cloud_cfg(),
+                vec![Box::new(AuthoritativePlugin::new(vec![root_zone]))],
+            ),
         );
         let tld = net.add_node(
             "tld",
             ["198.51.100.2".parse::<IpAddr>().unwrap()],
-            DnsServer::new(cloud_cfg(), vec![Box::new(AuthoritativePlugin::new(vec![tld_zone]))]),
+            DnsServer::new(
+                cloud_cfg(),
+                vec![Box::new(AuthoritativePlugin::new(vec![tld_zone]))],
+            ),
         );
         let adns = net.add_node(
             "adns",
             ["198.51.100.3".parse::<IpAddr>().unwrap()],
-            DnsServer::new(cloud_cfg(), vec![Box::new(AuthoritativePlugin::new(vec![zone]))]),
+            DnsServer::new(
+                cloud_cfg(),
+                vec![Box::new(AuthoritativePlugin::new(vec![zone]))],
+            ),
         );
         // The MEC L-DNS: cache + either stub redirect or full recursion.
         let ldns_ip: IpAddr = "10.96.0.10".parse().unwrap();
@@ -808,9 +837,17 @@ pub fn recursion_ablation(seed: u64) -> RecursionAblation {
         );
         // Topology: L-DNS and C-DNS collocated (intra-MEC); the
         // hierarchy is 40+ ms away in the cloud.
-        net.connect(ldns, cdns, LinkProfile::with_latency(Latency::UniformMs(0.2, 0.5)));
+        net.connect(
+            ldns,
+            cdns,
+            LinkProfile::with_latency(Latency::UniformMs(0.2, 0.5)),
+        );
         for node in [root, tld, adns] {
-            net.connect(ldns, node, LinkProfile::with_latency(Latency::UniformMs(40.0, 44.0)));
+            net.connect(
+                ldns,
+                node,
+                LinkProfile::with_latency(Latency::UniformMs(40.0, 44.0)),
+            );
             net.add_default_route(node, ldns);
         }
         net.add_default_route(cdns, ldns);
@@ -829,7 +866,11 @@ pub fn recursion_ablation(seed: u64) -> RecursionAblation {
             ["172.16.0.9".parse::<IpAddr>().unwrap()],
             QueryClient::new(plan),
         );
-        net.connect(client, ldns, LinkProfile::with_latency(Latency::UniformMs(0.5, 1.0)));
+        net.connect(
+            client,
+            ldns,
+            LinkProfile::with_latency(Latency::UniformMs(0.5, 1.0)),
+        );
         net.run();
         let mut s = Samples::new();
         for m in &net.behavior::<QueryClient>(client).measured {
@@ -1037,7 +1078,11 @@ pub fn content_access_experiment(seed: u64) -> ContentAccessReport {
                 self.dns_ms.push(outcome.rtt.as_millis_f64());
                 let cache = IpAddr::V4(outcome.addrs[0]);
                 self.fetch_started = Some(ctx.now());
-                ctx.send(cache, CONTENT_PORT, CdnMsg::Get { key: OBJ.into() }.encode());
+                ctx.send(
+                    cache,
+                    CONTENT_PORT,
+                    CdnMsg::Get { key: OBJ.into() }.encode(),
+                );
                 return;
             }
             if let Some(CdnMsg::Data { .. }) = CdnMsg::decode(&dgram.payload) {
@@ -1298,8 +1343,14 @@ pub fn mobility_experiment(seed: u64) -> MobilityReport {
         correct_site_answers: correct,
         wrong_site_answers: wrong,
         lost,
-        mean_before_ms: before.summarize().map(|s| s.trimmed_mean_ms).unwrap_or(f64::NAN),
-        mean_after_ms: after.summarize().map(|s| s.trimmed_mean_ms).unwrap_or(f64::NAN),
+        mean_before_ms: before
+            .summarize()
+            .map(|s| s.trimmed_mean_ms)
+            .unwrap_or(f64::NAN),
+        mean_after_ms: after
+            .summarize()
+            .map(|s| s.trimmed_mean_ms)
+            .unwrap_or(f64::NAN),
         cache_a,
         cache_b,
     }
@@ -1357,8 +1408,16 @@ pub fn dos_experiment(seed: u64) -> DosReport {
 
     // A gateway standing in for the P-GW.
     let gw = net.add_node("gw", ["10.44.0.9".parse::<IpAddr>().unwrap()], Nop);
-    cluster.attach_external(&mut net, gw, LinkProfile::with_latency(Latency::UniformMs(0.3, 0.6)));
-    net.connect(gw, provider_node, LinkProfile::with_latency(Latency::UniformMs(8.0, 12.0)));
+    cluster.attach_external(
+        &mut net,
+        gw,
+        LinkProfile::with_latency(Latency::UniformMs(0.3, 0.6)),
+    );
+    net.connect(
+        gw,
+        provider_node,
+        LinkProfile::with_latency(Latency::UniformMs(8.0, 12.0)),
+    );
     net.add_default_route(provider_node, gw);
 
     // The orchestrator's policy controller.
@@ -1371,7 +1430,11 @@ pub fn dos_experiment(seed: u64) -> DosReport {
         provider,
         200.0,
     );
-    let controller = net.add_node("dos-guard", ["10.44.0.99".parse::<IpAddr>().unwrap()], policy);
+    let controller = net.add_node(
+        "dos-guard",
+        ["10.44.0.99".parse::<IpAddr>().unwrap()],
+        policy,
+    );
 
     // The legitimate client, querying every 100 ms for 30 s.
     let client = net.add_node(
@@ -1379,7 +1442,11 @@ pub fn dos_experiment(seed: u64) -> DosReport {
         ["172.16.0.9".parse::<IpAddr>().unwrap()],
         DirectedClient::new(directive, mec_name, SimDuration::from_millis(100), 300),
     );
-    net.connect(client, gw, LinkProfile::with_latency(Latency::UniformMs(1.0, 2.0)));
+    net.connect(
+        client,
+        gw,
+        LinkProfile::with_latency(Latency::UniformMs(1.0, 2.0)),
+    );
     net.add_default_route(client, gw);
 
     // The attack: from t=5 s to t=15 s, a flood of 1000 qps at the MEC
@@ -1392,12 +1459,7 @@ pub fn dos_experiment(seed: u64) -> DosReport {
         fn on_start(&mut self, ctx: &mut netsim::NodeContext<'_>) {
             ctx.set_timer(SimDuration::from_secs(5), 0);
         }
-        fn on_timer(
-            &mut self,
-            ctx: &mut netsim::NodeContext<'_>,
-            _t: netsim::TimerToken,
-            _d: u64,
-        ) {
+        fn on_timer(&mut self, ctx: &mut netsim::NodeContext<'_>, _t: netsim::TimerToken, _d: u64) {
             if ctx.now().as_millis_f64() > self.until.as_millis_f64() {
                 return;
             }
@@ -1418,7 +1480,11 @@ pub fn dos_experiment(seed: u64) -> DosReport {
             until: SimDuration::from_secs(15),
         },
     );
-    net.connect(attacker, gw, LinkProfile::with_latency(Latency::UniformMs(1.0, 2.0)));
+    net.connect(
+        attacker,
+        gw,
+        LinkProfile::with_latency(Latency::UniformMs(1.0, 2.0)),
+    );
     net.add_default_route(attacker, gw);
 
     // The policy controller re-arms its sampling timer forever (it is a
@@ -1475,7 +1541,10 @@ impl Default for ChaosConfig {
             queries: 60,
             crash_at: SimDuration::from_millis(3_900),
             restart_at: SimDuration::from_millis(7_900),
-            degrade: (SimDuration::from_millis(1_050), SimDuration::from_millis(2_550)),
+            degrade: (
+                SimDuration::from_millis(1_050),
+                SimDuration::from_millis(2_550),
+            ),
         }
     }
 }
@@ -1548,7 +1617,8 @@ pub struct ChaosReport {
 impl ChaosReport {
     /// Plain-text rendering for `repro chaos`.
     pub fn render(&self) -> String {
-        let mut out = String::from("== chaos — resolution under link faults and a MEC DNS crash ==\n");
+        let mut out =
+            String::from("== chaos — resolution under link faults and a MEC DNS crash ==\n");
         out.push_str(&format!(
             "MEC DNS down {:.1}s..{:.1}s; client<->MEC link degraded {:.2}s..{:.2}s\n",
             self.crash_at_ms / 1000.0,
@@ -1666,8 +1736,11 @@ pub fn chaos_experiment_with(seed: u64, runner: &Runner, cfg: &ChaosConfig) -> C
         let telemetry = netsim::Telemetry::default();
         qc.engine_mut().set_telemetry(telemetry.clone());
         let client = net.add_node("ue", ["172.16.0.9".parse::<IpAddr>().unwrap()], qc);
-        let mec_link =
-            net.connect(client, mec, LinkProfile::with_latency(Latency::UniformMs(1.0, 2.0)));
+        let mec_link = net.connect(
+            client,
+            mec,
+            LinkProfile::with_latency(Latency::UniformMs(1.0, 2.0)),
+        );
         net.connect(
             client,
             provider,
@@ -1693,7 +1766,9 @@ pub fn chaos_experiment_with(seed: u64, runner: &Runner, cfg: &ChaosConfig) -> C
         let mut used_fallback = 0usize;
         let mut recovery_ms: Option<f64> = None;
         for m in measured {
-            let class = per_class.entry(m.outcome.name == mec_name).or_insert((0, 0));
+            let class = per_class
+                .entry(m.outcome.name == mec_name)
+                .or_insert((0, 0));
             class.1 += 1;
             if m.outcome.timed_out {
                 timed_out += 1;
@@ -1730,7 +1805,12 @@ pub fn chaos_experiment_with(seed: u64, runner: &Runner, cfg: &ChaosConfig) -> C
             "telemetry lost issued queries ({})",
             policy.label()
         );
-        assert_eq!(total, cfg.queries, "client lost outcomes ({})", policy.label());
+        assert_eq!(
+            total,
+            cfg.queries,
+            "client lost outcomes ({})",
+            policy.label()
+        );
         assert_eq!(
             telemetry.counter("stub.timeout") as usize,
             timed_out,
@@ -1744,13 +1824,23 @@ pub fn chaos_experiment_with(seed: u64, runner: &Runner, cfg: &ChaosConfig) -> C
             policy.label()
         );
         let avail = |class: Option<&(usize, usize)>| {
-            class.map_or(0.0, |&(ok, all)| if all == 0 { 0.0 } else { ok as f64 / all as f64 })
+            class.map_or(0.0, |&(ok, all)| {
+                if all == 0 {
+                    0.0
+                } else {
+                    ok as f64 / all as f64
+                }
+            })
         };
         ChaosDeployment {
             policy: policy.label().to_string(),
             total,
             answered,
-            availability: if total == 0 { 0.0 } else { answered as f64 / total as f64 },
+            availability: if total == 0 {
+                0.0
+            } else {
+                answered as f64 / total as f64
+            },
             mec_availability: avail(per_class.get(&true)),
             non_mec_availability: avail(per_class.get(&false)),
             p99_ms: samples.percentile(99.0),

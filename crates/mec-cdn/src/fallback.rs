@@ -88,7 +88,10 @@ mod tests {
             P1Policy::FallbackAfter(SimDuration::ZERO).label(),
         ];
         assert_eq!(
-            labels.iter().collect::<std::collections::HashSet<_>>().len(),
+            labels
+                .iter()
+                .collect::<std::collections::HashSet<_>>()
+                .len(),
             3
         );
     }

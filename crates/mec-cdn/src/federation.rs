@@ -37,8 +37,8 @@ use dns_server::plugins::{AuthoritativePlugin, CachePlugin, ForwardPlugin};
 use dns_server::{DnsServer, SendStrategy, ServerConfig, Zone};
 use dns_wire::Name;
 use netsim::{
-    AnycastCatchment, AnycastGateway, Cidr, FaultSchedule, Latency, LinkProfile, Network,
-    Samples, SimDuration, SimTime,
+    AnycastCatchment, AnycastGateway, Cidr, FaultSchedule, Latency, LinkProfile, Network, Samples,
+    SimDuration, SimTime,
 };
 use ran_sim::{EpcConfig, RadioProfile, Ran};
 use std::net::{IpAddr, Ipv4Addr};
@@ -223,7 +223,8 @@ impl FederationReport {
                 d.name,
                 d.availability,
                 d.p99_ms.map_or("-".into(), |v: f64| format!("{v:.1}")),
-                d.reconverge_ms.map_or("-".into(), |v: f64| format!("{v:.1}")),
+                d.reconverge_ms
+                    .map_or("-".into(), |v: f64| format!("{v:.1}")),
                 d.relocations,
                 d.cache_hits,
                 d.cache_misses,
@@ -373,11 +374,8 @@ fn run_deployment(kind: Kind, trial_seed: u64, cfg: &FederationConfig) -> Federa
     let mut site_links = Vec::new();
     match kind {
         Kind::Anycast => {
-            let c = AnycastCatchment::new(
-                IpAddr::V4(ANYCAST),
-                (0..SITES).map(site_dns_ip),
-            )
-            .with_withdraw_delay(cfg.withdraw_delay);
+            let c = AnycastCatchment::new(IpAddr::V4(ANYCAST), (0..SITES).map(site_dns_ip))
+                .with_withdraw_delay(cfg.withdraw_delay);
             // The P-GW's public address is the client the catchment
             // sees; it prefers the sites in metro order.
             c.set_preference(Cidr::host(ran.pgw_public_ip()), vec![0, 1, 2]);
@@ -523,7 +521,12 @@ fn run_deployment(kind: Kind, trial_seed: u64, cfg: &FederationConfig) -> Federa
     // before reporting — a report that disagrees with the telemetry or
     // the cache counters is a bug, not a result.
     let total = measured.len();
-    assert_eq!(total, cfg.queries, "client lost outcomes ({})", kind.label());
+    assert_eq!(
+        total,
+        cfg.queries,
+        "client lost outcomes ({})",
+        kind.label()
+    );
     assert_eq!(
         telemetry.counter("stub.query"),
         cfg.queries as u64,
@@ -673,9 +676,8 @@ mod tests {
         let select_reconv = select.reconverge_ms.expect("dns-select reconverges");
         // Anycast's bound: withdrawal propagation plus one stub
         // retry cycle (timeout + backoff) plus path latency.
-        let bound = cfg.withdraw_delay.as_millis_f64()
-            + 3.0 * cfg.query_timeout.as_millis_f64()
-            + 100.0;
+        let bound =
+            cfg.withdraw_delay.as_millis_f64() + 3.0 * cfg.query_timeout.as_millis_f64() + 100.0;
         assert!(
             anycast_reconv >= cfg.withdraw_delay.as_millis_f64(),
             "no alternate site can answer before the withdrawal ({anycast_reconv} ms)"

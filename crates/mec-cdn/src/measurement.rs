@@ -10,8 +10,7 @@
 use dns_server::{QueryOutcome, SendStrategy, StubEngine};
 use dns_wire::{ClientSubnet, Name, RrType};
 use netsim::{
-    Datagram, NodeBehavior, NodeContext, SimDuration, SimTime, TapDirection, TapRecord,
-    TimerToken,
+    Datagram, NodeBehavior, NodeContext, SimDuration, SimTime, TapDirection, TapRecord, TimerToken,
 };
 
 /// One scheduled query for a [`QueryClient`].

@@ -179,7 +179,10 @@ mod tests {
     fn seeded_runs_are_identical_across_thread_counts() {
         let serial = Runner::new(1).run_seeded(40, 7, |i, s| (i, s));
         for threads in [2, 5, 16] {
-            assert_eq!(Runner::new(threads).run_seeded(40, 7, |i, s| (i, s)), serial);
+            assert_eq!(
+                Runner::new(threads).run_seeded(40, 7, |i, s| (i, s)),
+                serial
+            );
         }
     }
 

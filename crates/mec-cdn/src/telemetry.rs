@@ -243,7 +243,10 @@ mod tests {
         assert!(trial.counter("stub.query") >= 6);
         // The MEC L-DNS redirects the CDN zone to the collocated C-DNS,
         // which answers every query.
-        assert!(trial.counter("dns.stub_domain.redirect") > 0, "no redirects seen");
+        assert!(
+            trial.counter("dns.stub_domain.redirect") > 0,
+            "no redirects seen"
+        );
         assert!(trial.counter("cdns.answered") > 0, "C-DNS answered nothing");
         assert!(
             trial.max_split_delta_ms <= 1.0,
@@ -252,10 +255,22 @@ mod tests {
         );
         let ex = trial.exemplar_trace.expect("first query leaves a trace");
         let points: Vec<&str> = ex.crumbs.iter().map(|c| c.point.as_str()).collect();
-        assert!(points.contains(&"stub.issue"), "missing stub.issue: {points:?}");
-        assert!(points.contains(&"pgw.uplink"), "missing pgw.uplink: {points:?}");
-        assert!(points.contains(&"pgw.downlink"), "missing pgw.downlink: {points:?}");
-        assert!(points.contains(&"stub.answer"), "missing stub.answer: {points:?}");
+        assert!(
+            points.contains(&"stub.issue"),
+            "missing stub.issue: {points:?}"
+        );
+        assert!(
+            points.contains(&"pgw.uplink"),
+            "missing pgw.uplink: {points:?}"
+        );
+        assert!(
+            points.contains(&"pgw.downlink"),
+            "missing pgw.downlink: {points:?}"
+        );
+        assert!(
+            points.contains(&"stub.answer"),
+            "missing stub.answer: {points:?}"
+        );
     }
 
     #[test]

@@ -345,8 +345,11 @@ impl Cluster {
             },
         );
         let fqdn = format!("{}.{}.svc.{}", svc.name, svc.namespace, self.config.domain);
-        self.registry
-            .upsert(&fqdn, svc.cluster_ip, self.namespace_visibility(&svc.namespace));
+        self.registry.upsert(
+            &fqdn,
+            svc.cluster_ip,
+            self.namespace_visibility(&svc.namespace),
+        );
         self.service_handles.insert(svc.key(), svc.clone());
     }
 
@@ -625,7 +628,10 @@ mod tests {
         let mut cluster = Cluster::new(&mut net, "mec", ClusterConfig::default());
         let pod = cluster.launch_pod(&mut net, "cdn", "c0", Nop);
         let svc = cluster.create_service(&mut net, "cdn", "dns", &[pod]);
-        assert_eq!(cluster.service("cdn", "dns").unwrap().cluster_ip, svc.cluster_ip);
+        assert_eq!(
+            cluster.service("cdn", "dns").unwrap().cluster_ip,
+            svc.cluster_ip
+        );
         assert!(cluster.service("cdn", "nope").is_none());
         assert!(cluster.pod("c0").is_some());
         assert!(cluster.pod("nope").is_none());

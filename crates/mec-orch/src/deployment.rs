@@ -202,7 +202,10 @@ mod tests {
         let victim_ip = d.pods[1].ip;
         assert!(net.node_by_addr(victim_ip).is_some());
         cluster.scale_deployment(&mut net, &mut d, &svc, 1, EchoTag);
-        assert!(net.node_by_addr(victim_ip).is_none(), "address must be released");
+        assert!(
+            net.node_by_addr(victim_ip).is_none(),
+            "address must be released"
+        );
         assert!(cluster.pod("echo-1").is_none());
     }
 }

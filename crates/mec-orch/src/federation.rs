@@ -230,7 +230,9 @@ mod tests {
 
         fed.site_mut(a).add_namespace("cdn", Visibility::Public);
         fed.site_mut(b).add_namespace("cdn", Visibility::Public);
-        let pod_a = fed.site_mut(a).launch_pod(&mut net, "cdn", "tr-a", EchoTag(0));
+        let pod_a = fed
+            .site_mut(a)
+            .launch_pod(&mut net, "cdn", "tr-a", EchoTag(0));
         let svc = fed
             .site_mut(a)
             .create_service(&mut net, "cdn", "trafficrouter", &[pod_a]);
@@ -241,7 +243,9 @@ mod tests {
         net.run_until(SimTime::ZERO + SimDuration::from_millis(150));
         fed.fail_site(&mut net, a);
         net.run_until(SimTime::ZERO + SimDuration::from_millis(180));
-        let pod_b = fed.site_mut(b).launch_pod(&mut net, "cdn", "tr-b", EchoTag(1));
+        let pod_b = fed
+            .site_mut(b)
+            .launch_pod(&mut net, "cdn", "tr-b", EchoTag(1));
         fed.fail_over(&mut net, &svc, a, b, &[pod_b]);
         net.run();
 
@@ -265,7 +269,9 @@ mod tests {
         // Site A's registry no longer claims the service; B's does.
         assert!(fed.site(a).service("cdn", "trafficrouter").is_none());
         assert_eq!(
-            fed.site(b).service("cdn", "trafficrouter").map(|s| s.cluster_ip),
+            fed.site(b)
+                .service("cdn", "trafficrouter")
+                .map(|s| s.cluster_ip),
             Some(svc.cluster_ip)
         );
         assert_eq!(
@@ -293,7 +299,9 @@ mod tests {
         let b = fed.add_site(&mut net, "site-b", site_config(1));
         fed.site_mut(a).add_namespace("cdn", Visibility::Public);
         fed.site_mut(b).add_namespace("cdn", Visibility::Public);
-        let pod_a = fed.site_mut(a).launch_pod(&mut net, "cdn", "tr-a", EchoTag(0));
+        let pod_a = fed
+            .site_mut(a)
+            .launch_pod(&mut net, "cdn", "tr-a", EchoTag(0));
         let svc = fed
             .site_mut(a)
             .create_service(&mut net, "cdn", "trafficrouter", &[pod_a]);
@@ -301,7 +309,9 @@ mod tests {
 
         net.run_until(SimTime::ZERO + SimDuration::from_millis(80));
         fed.fail_site(&mut net, a);
-        let pod_b = fed.site_mut(b).launch_pod(&mut net, "cdn", "tr-b", EchoTag(1));
+        let pod_b = fed
+            .site_mut(b)
+            .launch_pod(&mut net, "cdn", "tr-b", EchoTag(1));
         fed.fail_over(&mut net, &svc, a, b, &[pod_b]);
         // Site A comes back mid-run; fail-back is explicit, so traffic
         // must stay pinned at B.

@@ -37,8 +37,8 @@ pub mod monitor;
 pub mod registry;
 
 pub use cluster::{Cluster, ClusterConfig, PodHandle, ServiceHandle};
-pub use federation::Federation;
 pub use deployment::DeploymentHandle;
 pub use fabric::Fabric;
+pub use federation::Federation;
 pub use monitor::IngressMonitor;
 pub use registry::{ServiceRegistry, Visibility};

@@ -62,10 +62,7 @@ impl IngressMonitor {
         let mut inner = self.inner.borrow_mut();
         let retention = inner.retention;
         *inner.totals.entry(service.to_string()).or_insert(0) += 1;
-        let q = inner
-            .arrivals
-            .entry(service.to_string())
-            .or_default();
+        let q = inner.arrivals.entry(service.to_string()).or_default();
         q.push_back(now);
         let cutoff = now.as_nanos().saturating_sub(retention.as_nanos());
         while q.front().is_some_and(|t| t.as_nanos() < cutoff) {
@@ -161,7 +158,10 @@ mod tests {
     fn unknown_service_is_zero() {
         let m = IngressMonitor::default();
         assert_eq!(m.total("nope"), 0);
-        assert_eq!(m.count_in_window("nope", t(1), SimDuration::from_secs(1)), 0);
+        assert_eq!(
+            m.count_in_window("nope", t(1), SimDuration::from_secs(1)),
+            0
+        );
         assert_eq!(m.rate_per_sec("nope", t(1), SimDuration::from_secs(1)), 0.0);
     }
 

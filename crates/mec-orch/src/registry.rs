@@ -136,8 +136,15 @@ mod tests {
     #[test]
     fn internal_names_hidden_from_public_view() {
         let r = ServiceRegistry::new();
-        r.upsert("mme.epc.svc.cluster.local", ip("10.96.0.2"), Visibility::Internal);
-        assert_eq!(r.lookup("mme.epc.svc.cluster.local", Visibility::Public), None);
+        r.upsert(
+            "mme.epc.svc.cluster.local",
+            ip("10.96.0.2"),
+            Visibility::Internal,
+        );
+        assert_eq!(
+            r.lookup("mme.epc.svc.cluster.local", Visibility::Public),
+            None
+        );
         assert_eq!(
             r.lookup("mme.epc.svc.cluster.local", Visibility::Internal),
             Some(ip("10.96.0.2"))

@@ -25,7 +25,9 @@ impl WallClock {
         // sockets need real time for TTLs and latency measurement. The
         // read is confined to this constructor; everything downstream
         // sees only SimTime.
-        WallClock { anchor: Instant::now() }
+        WallClock {
+            anchor: Instant::now(),
+        }
     }
 
     /// Nanoseconds elapsed since the anchor.

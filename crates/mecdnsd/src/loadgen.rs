@@ -132,10 +132,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadReport> {
             let quota = per_client + u64::from((i as u64) < remainder);
             handles.push(scope.spawn(move || client_loop(i, quota, config, clock)));
         }
-        handles
-            .into_iter()
-            .map(|h| h.join())
-            .collect::<Vec<_>>()
+        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
     });
     for outcome in outcomes {
         match outcome {
@@ -189,7 +186,12 @@ fn client_loop(
                     Err(_) => report.decode_errors += 1,
                 }
             }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
                 report.timeouts += 1;
             }
             Err(e) => return Err(e),

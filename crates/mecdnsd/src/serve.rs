@@ -325,7 +325,15 @@ fn shard_loop(
             }
         }
         for (dgram, peer) in batch.drain(..) {
-            serve_one(&mut engine, &sock, &clock, &telemetry, &mut report, &dgram, peer);
+            serve_one(
+                &mut engine,
+                &sock,
+                &clock,
+                &telemetry,
+                &mut report,
+                &dgram,
+                peer,
+            );
             pool.push(dgram);
         }
     }
@@ -549,9 +557,8 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let shard_stop = Arc::clone(&stop);
         let topo = ServeTopology::default();
-        let shard = std::thread::spawn(move || {
-            shard_loop(sock, &topo, WallClock::start(), &shard_stop)
-        });
+        let shard =
+            std::thread::spawn(move || shard_loop(sock, &topo, WallClock::start(), &shard_stop));
         std::thread::sleep(Duration::from_millis(100));
         assert!(
             !stop.load(Ordering::Relaxed),

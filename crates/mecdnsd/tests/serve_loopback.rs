@@ -45,7 +45,10 @@ fn drive(shards: usize, shared_socket: bool, queries: u64) {
         server.rcodes.noerror, server.queries,
         "hosted-content queries all resolve"
     );
-    assert_eq!(server.truncated, 0, "single-answer responses never truncate");
+    assert_eq!(
+        server.truncated, 0,
+        "single-answer responses never truncate"
+    );
     assert!(server.latency_percentile_ns(0.99).unwrap() > 0);
     assert!(!server.stats_line(elapsed_ns).is_empty());
 }

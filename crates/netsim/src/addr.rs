@@ -79,9 +79,17 @@ impl Cidr {
         match self.addr {
             IpAddr::V4(net) => {
                 let host_bits = 32 - u32::from(self.prefix);
-                let span: u64 = if host_bits >= 32 { 1 << 32 } else { 1u64 << host_bits };
+                let span: u64 = if host_bits >= 32 {
+                    1 << 32
+                } else {
+                    1u64 << host_bits
+                };
                 // Skip .0; wrap within the block.
-                let offset = if span > 2 { 1 + (i % (span - 1)) } else { i % span };
+                let offset = if span > 2 {
+                    1 + (i % (span - 1))
+                } else {
+                    i % span
+                };
                 IpAddr::V4(Ipv4Addr::from(u32::from(net).wrapping_add(offset as u32)))
             }
             IpAddr::V6(net) => {

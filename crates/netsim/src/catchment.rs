@@ -324,10 +324,7 @@ impl NodeBehavior for AnycastGateway {
                 Some(idx) => match self.catchment.site_addr(idx) {
                     Some(site) => {
                         self.catchment.inner.borrow_mut().delivered += 1;
-                        ForwardAction::Forward(Datagram {
-                            dst: site,
-                            ..dgram
-                        })
+                        ForwardAction::Forward(Datagram { dst: site, ..dgram })
                     }
                     None => {
                         self.catchment.inner.borrow_mut().blackholed += 1;

@@ -210,12 +210,9 @@ impl FaultSchedule {
                     extra_latency_ms,
                     extra_jitter_ms,
                 } => {
-                    install_window(net, link, window, move |p| degrade_direction(
-                        p,
-                        extra_loss,
-                        extra_latency_ms,
-                        extra_jitter_ms,
-                    ));
+                    install_window(net, link, window, move |p| {
+                        degrade_direction(p, extra_loss, extra_latency_ms, extra_jitter_ms)
+                    });
                 }
                 Fault::Partition { link, window } => {
                     install_window(net, link, window, |p| p.with_loss(1.0));

@@ -70,7 +70,7 @@ pub use faults::{Fault, FaultSchedule};
 pub use network::{LinkId, LinkProfile, Network, NodeId};
 pub use node::{Datagram, ForwardAction, NodeBehavior, NodeContext, TimerToken};
 pub use sched::{EventKey, TimerWheel};
-pub use stats::{LatencySummary, SchedStats, Samples};
+pub use stats::{LatencySummary, Samples, SchedStats};
 pub use telemetry::{Breadcrumb, Histogram, MetricsRegistry, ResolutionTrace, Telemetry};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TapDirection, TapRecord};

@@ -431,12 +431,7 @@ impl Network {
         p
     }
 
-    pub(crate) fn set_timer(
-        &mut self,
-        node: NodeId,
-        delay: SimDuration,
-        data: u64,
-    ) -> TimerToken {
+    pub(crate) fn set_timer(&mut self, node: NodeId, delay: SimDuration, data: u64) -> TimerToken {
         let token = TimerToken(self.next_timer);
         self.next_timer += 1;
         let epoch = self.nodes[node.0].epoch;
@@ -609,7 +604,11 @@ impl Network {
         let l = &self.links[link.0];
         debug_assert!(l.a == from || l.b == from, "transmit from non-endpoint");
         let dir_is_ab = l.a == from;
-        let profile = if dir_is_ab { &l.ab.profile } else { &l.ba.profile };
+        let profile = if dir_is_ab {
+            &l.ab.profile
+        } else {
+            &l.ba.profile
+        };
         if profile.loss > 0.0 && self.rng.gen_bool(profile.loss) {
             self.dropped_packets += 1;
             return;
@@ -741,8 +740,7 @@ mod tests {
     }
 
     struct Nop;
-    impl NodeBehavior for Nop {
-    }
+    impl NodeBehavior for Nop {}
 
     fn ip(s: &str) -> IpAddr {
         s.parse().unwrap()
@@ -807,10 +805,26 @@ mod tests {
         let wrong = net.add_node("wrong", [ip("10.0.0.2")], Nop);
         let right = net.add_node("right", [ip("10.0.0.3")], Nop);
         let dst = net.add_node("dst", [ip("192.168.5.5")], Echo { seen: 0 });
-        net.connect(a, wrong, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
-        net.connect(a, right, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
-        net.connect(right, dst, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
-        net.connect(wrong, dst, LinkProfile::with_latency(Latency::ConstantMs(50.0)));
+        net.connect(
+            a,
+            wrong,
+            LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+        );
+        net.connect(
+            a,
+            right,
+            LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+        );
+        net.connect(
+            right,
+            dst,
+            LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+        );
+        net.connect(
+            wrong,
+            dst,
+            LinkProfile::with_latency(Latency::ConstantMs(50.0)),
+        );
         net.add_default_route(a, wrong);
         net.add_route(a, "192.168.5.0/24".parse().unwrap(), right);
         net.add_default_route(dst, right);
@@ -863,7 +877,13 @@ mod tests {
             }
         }
         let mut net = Network::new(5);
-        let a = net.add_node("a", [ip("10.0.0.1")], SendOnce { target: ip("10.0.0.2") });
+        let a = net.add_node(
+            "a",
+            [ip("10.0.0.1")],
+            SendOnce {
+                target: ip("10.0.0.2"),
+            },
+        );
         let b = net.add_node("b", [ip("10.0.0.2")], Collect { got: None });
         net.connect(
             a,
@@ -896,7 +916,13 @@ mod tests {
             }
         }
         let mut net = Network::new(6);
-        let a = net.add_node("a", [ip("10.0.0.1")], Burst { target: ip("10.0.0.2") });
+        let a = net.add_node(
+            "a",
+            [ip("10.0.0.1")],
+            Burst {
+                target: ip("10.0.0.2"),
+            },
+        );
         let b = net.add_node("b", [ip("10.0.0.2")], Arrivals { times: vec![] });
         // 1 Mbps: a 1000-byte frame takes 8 ms to serialize.
         net.connect(
@@ -988,7 +1014,11 @@ mod tests {
                 },
             );
             let b = net.add_node("b", [ip("10.0.0.2")], Echo { seen: 0 });
-            net.connect(a, b, LinkProfile::with_latency(Latency::skewed(1.0, 5.0, 3.0)));
+            net.connect(
+                a,
+                b,
+                LinkProfile::with_latency(Latency::skewed(1.0, 5.0, 3.0)),
+            );
             net.run();
             net.behavior::<Pinger>(a).rtt.unwrap()
         }

@@ -74,7 +74,11 @@ pub fn export(records: &[TapRecord]) -> PcapExport {
         };
         let packet = ipv4_udp_packet(src, dst, r.src_port, r.dst_port, payload);
         let us = r.time.as_nanos() / 1_000;
-        bytes.extend_from_slice(&u32::try_from(us / 1_000_000).unwrap_or(u32::MAX).to_le_bytes());
+        bytes.extend_from_slice(
+            &u32::try_from(us / 1_000_000)
+                .unwrap_or(u32::MAX)
+                .to_le_bytes(),
+        );
         bytes.extend_from_slice(&((us % 1_000_000) as u32).to_le_bytes());
         bytes.extend_from_slice(&(packet.len() as u32).to_le_bytes()); // incl_len
         bytes.extend_from_slice(&(packet.len() as u32).to_le_bytes()); // orig_len
@@ -198,7 +202,10 @@ mod tests {
         assert_eq!(&packet[12..16], &[10, 0, 0, 1]);
         assert_eq!(&packet[16..20], &[10, 0, 0, 2]);
         // UDP ports and length.
-        assert_eq!(u16::from_be_bytes(packet[20..22].try_into().unwrap()), 40000);
+        assert_eq!(
+            u16::from_be_bytes(packet[20..22].try_into().unwrap()),
+            40000
+        );
         assert_eq!(u16::from_be_bytes(packet[22..24].try_into().unwrap()), 53);
         assert_eq!(
             u16::from_be_bytes(packet[24..26].try_into().unwrap()) as usize,

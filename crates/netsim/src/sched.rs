@@ -297,9 +297,7 @@ impl<T> TimerWheel<T> {
         let level = (delta.ilog2() / LEVEL_BITS) as usize;
         let slot = ((tick >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         let (Some(head), Some(c)) = (
-            self.slots
-                .get_mut(level)
-                .and_then(|l| l.get_mut(slot)),
+            self.slots.get_mut(level).and_then(|l| l.get_mut(slot)),
             self.cells.get_mut(cell as usize),
         ) else {
             // level < LEVELS and slot < SLOTS by construction.
@@ -623,11 +621,11 @@ mod tests {
                     // Schedule (most likely op).
                     0..=5 => {
                         let offset = match rng.gen_range(0..6) {
-                            0 => 0,                                  // same instant
-                            1 => rng.gen_range(0..1_024),            // sub-tick
-                            2 => rng.gen_range(0..100_000),          // level 0-1
-                            3 => rng.gen_range(0..1_000_000_000),    // mid levels
-                            4 => rng.gen_range(0..100_000_000_000),  // high levels
+                            0 => 0,                                 // same instant
+                            1 => rng.gen_range(0..1_024),           // sub-tick
+                            2 => rng.gen_range(0..100_000),         // level 0-1
+                            3 => rng.gen_range(0..1_000_000_000),   // mid levels
+                            4 => rng.gen_range(0..100_000_000_000), // high levels
                             _ => 4_500_000_000_000_000 + rng.gen_range(0..1_000_000),
                         };
                         let t = at(now + offset);
@@ -707,7 +705,11 @@ mod tests {
     #[test]
     fn next_set_distance_scans_circularly() {
         assert_eq!(next_set_distance(0b10, 0), 1);
-        assert_eq!(next_set_distance(0b1, 0), 64, "own bit is a full rotation away");
+        assert_eq!(
+            next_set_distance(0b1, 0),
+            64,
+            "own bit is a full rotation away"
+        );
         assert_eq!(next_set_distance(1 << 63, 62), 1);
         assert_eq!(next_set_distance(1, 63), 1);
         assert_eq!(next_set_distance(1 << 10, 20), 54);

@@ -267,7 +267,10 @@ pub struct ResolutionTrace {
 impl ResolutionTrace {
     /// A trace for `id` with no crumbs yet.
     pub fn new(id: u64) -> Self {
-        ResolutionTrace { id, crumbs: Vec::new() }
+        ResolutionTrace {
+            id,
+            crumbs: Vec::new(),
+        }
     }
 
     /// Appends a breadcrumb.

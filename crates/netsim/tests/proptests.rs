@@ -3,8 +3,8 @@
 //! prefix-routing behaviour.
 
 use netsim::{
-    Cidr, Datagram, Latency, LinkProfile, Network, NodeBehavior, NodeContext, Samples,
-    SimDuration, SimTime,
+    Cidr, Datagram, Latency, LinkProfile, Network, NodeBehavior, NodeContext, Samples, SimDuration,
+    SimTime,
 };
 use proptest::prelude::*;
 use std::net::IpAddr;

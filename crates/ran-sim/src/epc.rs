@@ -264,20 +264,31 @@ mod tests {
                 replies: 0,
             },
         );
-        net.connect(ue, epc.sgw, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
+        net.connect(
+            ue,
+            epc.sgw,
+            LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+        );
         net.add_default_route(ue, epc.sgw);
         let server = net.add_node("server", [ip("198.51.100.10")], Echo { from: vec![] });
-        net.connect(epc.pgw, server, LinkProfile::with_latency(Latency::ConstantMs(2.0)));
+        net.connect(
+            epc.pgw,
+            server,
+            LinkProfile::with_latency(Latency::ConstantMs(2.0)),
+        );
         net.add_default_route(server, epc.pgw);
         net.run();
         let seen = &net.behavior::<Echo>(server).from;
         assert_eq!(seen.len(), 1);
         assert_eq!(
-            seen[0].0,
-            cfg.pgw_public_ip,
+            seen[0].0, cfg.pgw_public_ip,
             "server must see the gateway, not the UE"
         );
-        assert_eq!(net.behavior::<UeApp>(ue).replies, 1, "reply must be un-NATed");
+        assert_eq!(
+            net.behavior::<UeApp>(ue).replies,
+            1,
+            "reply must be un-NATed"
+        );
         let nat = net.behavior::<PgwNat>(epc.pgw);
         assert_eq!(nat.translated_out, 1);
         assert_eq!(nat.translated_in, 1);
@@ -313,10 +324,18 @@ mod tests {
                 server: ip("198.51.100.10"),
             },
         );
-        net.connect(ue, epc.sgw, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
+        net.connect(
+            ue,
+            epc.sgw,
+            LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+        );
         net.add_default_route(ue, epc.sgw);
         let server = net.add_node("server", [ip("198.51.100.10")], Echo { from: vec![] });
-        net.connect(epc.pgw, server, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
+        net.connect(
+            epc.pgw,
+            server,
+            LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+        );
         net.add_default_route(server, epc.pgw);
         net.run();
         let seen = &net.behavior::<Echo>(server).from;
@@ -344,7 +363,11 @@ mod tests {
                 target: cfg.pgw_public_ip,
             },
         );
-        net.connect(epc.pgw, attacker, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
+        net.connect(
+            epc.pgw,
+            attacker,
+            LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+        );
         net.run();
         let nat = net.behavior::<PgwNat>(epc.pgw);
         assert_eq!(nat.translated_in, 0);

@@ -24,19 +24,13 @@ impl RadioProfile {
     /// One-way link model for this radio.
     pub fn link(self) -> LinkProfile {
         match self {
-            RadioProfile::Lte => {
-                LinkProfile::with_latency(Latency::skewed(8.0, 10.0, 1.8))
-                    .with_bandwidth_bps(75_000_000)
-            }
-            RadioProfile::Nr => {
-                LinkProfile::with_latency(Latency::skewed(0.8, 1.5, 0.4))
-                    .with_bandwidth_bps(1_000_000_000)
-            }
-            RadioProfile::LteLoaded => {
-                LinkProfile::with_latency(Latency::skewed(8.0, 14.0, 6.0))
-                    .with_loss(0.005)
-                    .with_bandwidth_bps(20_000_000)
-            }
+            RadioProfile::Lte => LinkProfile::with_latency(Latency::skewed(8.0, 10.0, 1.8))
+                .with_bandwidth_bps(75_000_000),
+            RadioProfile::Nr => LinkProfile::with_latency(Latency::skewed(0.8, 1.5, 0.4))
+                .with_bandwidth_bps(1_000_000_000),
+            RadioProfile::LteLoaded => LinkProfile::with_latency(Latency::skewed(8.0, 14.0, 6.0))
+                .with_loss(0.005)
+                .with_bandwidth_bps(20_000_000),
         }
     }
 
@@ -69,10 +63,8 @@ impl AccessKind {
     /// The device's access-hop link model.
     pub fn access_link(self) -> LinkProfile {
         match self {
-            AccessKind::WiredCampus => {
-                LinkProfile::with_latency(Latency::UniformMs(0.3, 1.0))
-                    .with_bandwidth_bps(1_000_000_000)
-            }
+            AccessKind::WiredCampus => LinkProfile::with_latency(Latency::UniformMs(0.3, 1.0))
+                .with_bandwidth_bps(1_000_000_000),
             AccessKind::HomeWifi => {
                 // Contention + retries: skewed around a few ms.
                 LinkProfile::with_latency(Latency::skewed(1.5, 4.0, 3.0))
@@ -88,12 +80,8 @@ impl AccessKind {
     /// sits behind the core network, far from the RAN (§2).
     pub fn ldns_link(self) -> LinkProfile {
         match self {
-            AccessKind::WiredCampus => {
-                LinkProfile::with_latency(Latency::UniformMs(0.5, 1.5))
-            }
-            AccessKind::HomeWifi => {
-                LinkProfile::with_latency(Latency::skewed(2.0, 4.5, 2.0))
-            }
+            AccessKind::WiredCampus => LinkProfile::with_latency(Latency::UniformMs(0.5, 1.5)),
+            AccessKind::HomeWifi => LinkProfile::with_latency(Latency::skewed(2.0, 4.5, 2.0)),
             AccessKind::CellularMobile => {
                 // Core network traversal + opaque resolver placement,
                 // far behind the P-GW (§2's cellular L-DNS findings).
@@ -130,7 +118,10 @@ mod tests {
     #[test]
     fn lte_air_is_about_ten_ms_one_way() {
         let m = RadioProfile::Lte.mean_one_way_ms();
-        assert!((9.0..11.5).contains(&m), "LTE one-way mean {m} off calibration");
+        assert!(
+            (9.0..11.5).contains(&m),
+            "LTE one-way mean {m} off calibration"
+        );
     }
 
     #[test]
@@ -147,7 +138,8 @@ mod tests {
     #[test]
     fn access_ordering_matches_figure2() {
         // wired < wifi < cellular, for the combined access+resolver path.
-        let total = |k: AccessKind| k.access_link().latency.mean_ms() + k.ldns_link().latency.mean_ms();
+        let total =
+            |k: AccessKind| k.access_link().latency.mean_ms() + k.ldns_link().latency.mean_ms();
         assert!(total(AccessKind::WiredCampus) < total(AccessKind::HomeWifi));
         assert!(total(AccessKind::HomeWifi) < total(AccessKind::CellularMobile));
     }
@@ -163,8 +155,8 @@ mod tests {
             let mut lo = f64::INFINITY;
             let mut hi = 0.0f64;
             for _ in 0..5000 {
-                let v = access.sample(&mut rng).as_millis_f64()
-                    + ldns.sample(&mut rng).as_millis_f64();
+                let v =
+                    access.sample(&mut rng).as_millis_f64() + ldns.sample(&mut rng).as_millis_f64();
                 lo = lo.min(v);
                 hi = hi.max(v);
             }

@@ -156,7 +156,8 @@ impl Ran {
             n.set_link_profile(radio_link, profile);
         });
         self.telemetry.incr("ran.attach");
-        self.telemetry.observe("ran.attach_delay", self.attach_delay);
+        self.telemetry
+            .observe("ran.attach_delay", self.attach_delay);
         UeAttachment {
             node,
             ip,

@@ -2,7 +2,9 @@
 //! arbitrary flows, attach/handoff invariants, and profile calibration
 //! bounds.
 
-use netsim::{Datagram, LinkProfile, Latency, Network, NodeBehavior, NodeContext, SimDuration, TimerToken};
+use netsim::{
+    Datagram, Latency, LinkProfile, Network, NodeBehavior, NodeContext, SimDuration, TimerToken,
+};
 use proptest::prelude::*;
 use ran_sim::{EpcConfig, PgwNat, RadioProfile, Ran};
 use std::collections::HashMap;
@@ -179,14 +181,22 @@ fn nat_port_allocation_survives_many_flows() {
             replies: HashMap::new(),
         },
     );
-    net.connect(ue, epc.sgw, LinkProfile::with_latency(Latency::ConstantMs(0.5)));
+    net.connect(
+        ue,
+        epc.sgw,
+        LinkProfile::with_latency(Latency::ConstantMs(0.5)),
+    );
     net.add_default_route(ue, epc.sgw);
     let server = net.add_node(
         "server",
         ["198.51.100.10".parse::<IpAddr>().unwrap()],
         Recorder { seen: vec![] },
     );
-    net.connect(epc.pgw, server, LinkProfile::with_latency(Latency::ConstantMs(0.5)));
+    net.connect(
+        epc.pgw,
+        server,
+        LinkProfile::with_latency(Latency::ConstantMs(0.5)),
+    );
     net.add_default_route(server, epc.pgw);
     net.run();
     let nat = net.behavior::<PgwNat>(epc.pgw);

@@ -101,12 +101,24 @@ impl Figure {
         if !self.stacked.is_empty() {
             out.push_str(&format!(
                 "{:<34} {:>10} {:>12} {:>12} {:>9} {:>9} {:>6}\n",
-                "deployment", "total(ms)", "wireless(ms)", "resolver(ms)", "min(ms)", "max(ms)", "n"
+                "deployment",
+                "total(ms)",
+                "wireless(ms)",
+                "resolver(ms)",
+                "min(ms)",
+                "max(ms)",
+                "n"
             ));
             for b in &self.stacked {
                 out.push_str(&format!(
                     "{:<34} {:>10.1} {:>12.1} {:>12.1} {:>9.1} {:>9.1} {:>6}\n",
-                    b.label, b.total_ms, b.wireless_ms, b.resolver_ms, b.min_ms, b.max_ms, b.samples
+                    b.label,
+                    b.total_ms,
+                    b.wireless_ms,
+                    b.resolver_ms,
+                    b.min_ms,
+                    b.max_ms,
+                    b.samples
                 ));
             }
         }

@@ -96,7 +96,10 @@ impl DiurnalCurve {
     /// `period`. Weights clamp to `[0, 1]`; at least one segment.
     pub fn from_weights(period: SimDuration, weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "diurnal curve needs >= 1 segment");
-        assert!(period > SimDuration::ZERO, "diurnal period must be positive");
+        assert!(
+            period > SimDuration::ZERO,
+            "diurnal period must be positive"
+        );
         DiurnalCurve {
             weights: weights.iter().map(|w| w.clamp(0.0, 1.0)).collect(),
             period,
@@ -339,8 +342,7 @@ mod tests {
     #[test]
     fn dead_trough_detaches_everyone() {
         let mut config = cfg(50);
-        config.curve =
-            DiurnalCurve::from_weights(SimDuration::from_secs(10), &[0.0]);
+        config.curve = DiurnalCurve::from_weights(SimDuration::from_secs(10), &[0.0]);
         let mut fleet = UeFleet::new(config, 3);
         let t = SimTime::ZERO + SimDuration::from_secs(1);
         for ue in 0..50 {
@@ -353,10 +355,7 @@ mod tests {
 
     #[test]
     fn diurnal_curve_segments_and_wraparound() {
-        let c = DiurnalCurve::from_weights(
-            SimDuration::from_secs(4),
-            &[1.0, 0.5, 0.25, 0.0],
-        );
+        let c = DiurnalCurve::from_weights(SimDuration::from_secs(4), &[1.0, 0.5, 0.25, 0.0]);
         let at = |s: u64| c.activity(SimTime::ZERO + SimDuration::from_secs(s));
         assert_eq!(at(0), 1.0);
         assert_eq!(at(1), 0.5);
@@ -413,9 +412,6 @@ mod tests {
         let total: u64 = (0..n).map(|_| exp_draw(&mut s, mean).as_nanos()).sum();
         let avg = total as f64 / n as f64;
         let want = mean.as_nanos() as f64;
-        assert!(
-            (avg - want).abs() / want < 0.05,
-            "avg {avg} vs mean {want}"
-        );
+        assert!((avg - want).abs() / want < 0.05, "avg {avg} vs mean {want}");
     }
 }

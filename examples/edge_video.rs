@@ -111,11 +111,7 @@ fn main() {
     );
     // Wire the player into the RAN-side of the P-GW directly (a second
     // bearer): link with LTE-like latency.
-    net.connect(
-        player,
-        d.pgw,
-        ran_sim::RadioProfile::Lte.link(),
-    );
+    net.connect(player, d.pgw, ran_sim::RadioProfile::Lte.link());
     net.add_default_route(player, d.pgw);
     net.run();
 

@@ -24,10 +24,7 @@ struct Roamer {
 impl NodeBehavior for Roamer {
     fn on_start(&mut self, ctx: &mut NodeContext<'_>) {
         for i in 0..self.count {
-            ctx.set_timer(
-                SimDuration::from_millis(200 + 50 * i as u64),
-                i as u64,
-            );
+            ctx.set_timer(SimDuration::from_millis(200 + 50 * i as u64), i as u64);
         }
     }
     fn on_timer(&mut self, ctx: &mut NodeContext<'_>, _t: TimerToken, data: u64) {
@@ -109,7 +106,12 @@ fn main() {
         } else {
             answered += 1;
             if o.tag % 5 == 0 {
-                println!("{:>6} {:>10.1}  {}", o.tag, o.rtt.as_millis_f64(), o.addrs[0]);
+                println!(
+                    "{:>6} {:>10.1}  {}",
+                    o.tag,
+                    o.rtt.as_millis_f64(),
+                    o.addrs[0]
+                );
             }
         }
     }

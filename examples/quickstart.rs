@@ -38,7 +38,10 @@ fn main() {
     // Run the dig schedule and split each lookup at the P-GW, exactly
     // like the paper's dig + tcpdump methodology.
     let (measured, split) = deployment.run_measure();
-    println!("\n{:>5} {:>12} {:>12} {:>12}  answer", "query", "total(ms)", "wireless(ms)", "resolver(ms)");
+    println!(
+        "\n{:>5} {:>12} {:>12} {:>12}  answer",
+        "query", "total(ms)", "wireless(ms)", "resolver(ms)"
+    );
     for (i, (m, s)) in measured.iter().zip(&split).enumerate() {
         println!(
             "{:>5} {:>12.2} {:>12.2} {:>12.2}  {}",

@@ -9,7 +9,9 @@
 
 use cdn_sim::protocol::{CdnMsg, CONTENT_PORT};
 use cdn_sim::{Catalog, CdnHierarchy, TierSpec};
-use netsim::{Datagram, Latency, LinkProfile, Network, NodeBehavior, NodeContext, SimDuration, TimerToken};
+use netsim::{
+    Datagram, Latency, LinkProfile, Network, NodeBehavior, NodeContext, SimDuration, TimerToken,
+};
 use std::net::IpAddr;
 
 struct Viewer {
@@ -88,7 +90,11 @@ fn main() {
         },
     );
     let edge_node = net.node_by_addr(hierarchy.edge_addrs()[0]).unwrap();
-    net.connect(viewer, edge_node, LinkProfile::with_latency(Latency::UniformMs(0.8, 1.2)));
+    net.connect(
+        viewer,
+        edge_node,
+        LinkProfile::with_latency(Latency::UniformMs(0.8, 1.2)),
+    );
     net.run();
 
     println!("\n{:<12} {:>12}  source", "object", "latency(ms)");

@@ -151,7 +151,11 @@ fn fallback_after_with_a_dead_mec_dns_always_resolves() {
         let mut qc = QueryClient::new(plan);
         qc.engine_mut().query_timeout = SimDuration::from_millis(500);
         let client = net.add_node("ue", ["172.16.0.9".parse::<IpAddr>().unwrap()], qc);
-        net.connect(client, mec, LinkProfile::with_latency(Latency::UniformMs(1.0, 2.0)));
+        net.connect(
+            client,
+            mec,
+            LinkProfile::with_latency(Latency::UniformMs(1.0, 2.0)),
+        );
         net.connect(
             client,
             provider,
@@ -196,6 +200,9 @@ fn fallback_after_with_a_dead_mec_dns_always_resolves() {
         "measured degradation {extra:.1} ms should match the {FALLBACK_MS} ms fallback timeout"
     );
     for ms in &degraded {
-        assert!(*ms >= FALLBACK_MS as f64, "answered before the fallback engaged?");
+        assert!(
+            *ms >= FALLBACK_MS as f64,
+            "answered before the fallback engaged?"
+        );
     }
 }

@@ -14,8 +14,7 @@ const SEED: u64 = 2020;
 /// byte string.
 fn campaign_bytes(runner: &Runner) -> String {
     let (fig2, fig3) = experiments::fig2_fig3_with(SEED, runner);
-    let (fig5, telemetry) =
-        experiments::fig5_telemetry_with(&TestbedConfig::default(), runner);
+    let (fig5, telemetry) = experiments::fig5_telemetry_with(&TestbedConfig::default(), runner);
     let table2 = experiments::table2_with(runner);
     format!(
         "{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}",

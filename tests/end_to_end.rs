@@ -71,8 +71,7 @@ impl NodeBehavior for Consumer {
             if let Some(&addr) = outcome.addrs.first() {
                 self.resolved.push((outcome.name.clone(), addr));
                 let key = format!("{}/seg-0", outcome.name);
-                self.fetch
-                    .fetch(ctx, IpAddr::V4(addr), &key, outcome.tag);
+                self.fetch.fetch(ctx, IpAddr::V4(addr), &key, outcome.tag);
             }
             return;
         }
@@ -165,7 +164,10 @@ fn trace_split_agrees_with_tap_split_on_every_deployment() {
                 t.wireless.as_millis_f64(),
                 p.wireless.as_millis_f64()
             );
-            assert_eq!(t.total, p.total, "{kind:?} query {i}: totals must be identical");
+            assert_eq!(
+                t.total, p.total,
+                "{kind:?} query {i}: totals must be identical"
+            );
         }
     }
 }
@@ -223,7 +225,10 @@ fn internal_vnf_names_never_leak_to_the_ue() {
             vec![Box::new(KubernetesPlugin::new(
                 cluster.registry(),
                 vec![n("cluster.local")],
-                vec!["10.244.0.0/16".parse().unwrap(), "10.96.0.0/16".parse().unwrap()],
+                vec![
+                    "10.244.0.0/16".parse().unwrap(),
+                    "10.96.0.0/16".parse().unwrap(),
+                ],
             ))],
         ),
     );
@@ -297,11 +302,7 @@ fn scaling_the_cdns_mid_run_does_not_change_the_resolver_address() {
     let client = net.add_node(
         "client",
         ["172.16.0.9".parse::<IpAddr>().unwrap()],
-        Consumer::new(
-            resolver,
-            vec![n(MEC_CDN_DOMAIN); 6],
-            SimDuration::ZERO,
-        ),
+        Consumer::new(resolver, vec![n(MEC_CDN_DOMAIN); 6], SimDuration::ZERO),
     );
     cluster.attach_external(&mut net, client, LinkProfile::lan());
 
@@ -323,7 +324,11 @@ fn scaling_the_cdns_mid_run_does_not_change_the_resolver_address() {
     for o in &c.dns.outcomes {
         assert!(!o.timed_out, "query lost across the scaling events");
         assert_eq!(o.addrs, vec![cache_ip]);
-        assert_eq!(o.responder, Some(resolver), "answer must come from the ClusterIP");
+        assert_eq!(
+            o.responder,
+            Some(resolver),
+            "answer must come from the ClusterIP"
+        );
     }
 }
 
@@ -363,7 +368,11 @@ fn missing_content_refers_to_the_next_cdn_tier() {
         [edge_ip],
         DnsServer::new(ServerConfig::default(), vec![Box::new(edge_router)]),
     );
-    net.connect(edge, mid, LinkProfile::with_latency(Latency::ConstantMs(20.0)));
+    net.connect(
+        edge,
+        mid,
+        LinkProfile::with_latency(Latency::ConstantMs(20.0)),
+    );
     net.add_default_route(mid, edge);
 
     let client = net.add_node(
@@ -375,7 +384,11 @@ fn missing_content_refers_to_the_next_cdn_tier() {
             SimDuration::ZERO,
         ),
     );
-    net.connect(client, edge, LinkProfile::with_latency(Latency::ConstantMs(1.0)));
+    net.connect(
+        client,
+        edge,
+        LinkProfile::with_latency(Latency::ConstantMs(1.0)),
+    );
     net.run();
 
     let c = net.behavior::<Consumer>(client);
@@ -506,8 +519,16 @@ fn mec_dns_outage_degrades_to_the_provider_and_recovers() {
         ),
     );
     let gw = net.add_node("gw", ["10.44.0.9".parse::<IpAddr>().unwrap()], NopB);
-    cluster.attach_external(&mut net, gw, LinkProfile::with_latency(Latency::UniformMs(0.3, 0.6)));
-    net.connect(gw, provider, LinkProfile::with_latency(Latency::UniformMs(10.0, 14.0)));
+    cluster.attach_external(
+        &mut net,
+        gw,
+        LinkProfile::with_latency(Latency::UniformMs(0.3, 0.6)),
+    );
+    net.connect(
+        gw,
+        provider,
+        LinkProfile::with_latency(Latency::UniformMs(10.0, 14.0)),
+    );
     net.add_default_route(provider, gw);
 
     // Client queries every 200 ms for 12 s with an 80 ms fallback.
@@ -540,8 +561,8 @@ fn mec_dns_outage_degrades_to_the_provider_and_recovers() {
             self.engine.on_datagram(ctx, &dgram);
         }
     }
-    let strategy = P1Policy::FallbackAfter(SimDuration::from_millis(80))
-        .strategy(svc.cluster_ip, provider_ip);
+    let strategy =
+        P1Policy::FallbackAfter(SimDuration::from_millis(80)).strategy(svc.cluster_ip, provider_ip);
     let client = net.add_node(
         "client",
         ["172.16.0.9".parse::<IpAddr>().unwrap()],
@@ -551,7 +572,11 @@ fn mec_dns_outage_degrades_to_the_provider_and_recovers() {
             count: 60,
         },
     );
-    net.connect(client, gw, LinkProfile::with_latency(Latency::UniformMs(1.0, 2.0)));
+    net.connect(
+        client,
+        gw,
+        LinkProfile::with_latency(Latency::UniformMs(1.0, 2.0)),
+    );
     net.add_default_route(client, gw);
 
     // Outage window: scale to 0 at t=4 s, back to 1 at t=8 s.
@@ -585,7 +610,10 @@ fn mec_dns_outage_degrades_to_the_provider_and_recovers() {
     let mean = |set: &[&dns_server::QueryOutcome]| {
         set.iter().map(|o| o.rtt.as_millis_f64()).sum::<f64>() / set.len() as f64
     };
-    assert!(mean(&during) > mean(&before) + 50.0, "outage must cost the timeout");
+    assert!(
+        mean(&during) > mean(&before) + 50.0,
+        "outage must cost the timeout"
+    );
 }
 
 #[test]
@@ -718,7 +746,11 @@ fn p1_fallback_degrades_but_never_fails_over_the_ran() {
             ],
         ),
     );
-    net.connect(ran.epc.pgw, mec, LinkProfile::with_latency(Latency::UniformMs(0.3, 0.6)));
+    net.connect(
+        ran.epc.pgw,
+        mec,
+        LinkProfile::with_latency(Latency::UniformMs(0.3, 0.6)),
+    );
     net.add_default_route(mec, ran.epc.pgw);
 
     let mut provider_zone = Zone::new(n("example.com"));
@@ -732,7 +764,11 @@ fn p1_fallback_degrades_but_never_fails_over_the_ran() {
             vec![Box::new(AuthoritativePlugin::new(vec![provider_zone]))],
         ),
     );
-    net.connect(ran.epc.pgw, provider, LinkProfile::with_latency(Latency::UniformMs(4.0, 6.0)));
+    net.connect(
+        ran.epc.pgw,
+        provider,
+        LinkProfile::with_latency(Latency::UniformMs(4.0, 6.0)),
+    );
     net.add_default_route(provider, ran.epc.pgw);
 
     struct FallbackUe {
@@ -755,11 +791,10 @@ fn p1_fallback_degrades_but_never_fails_over_the_ran() {
             } else {
                 n("www.example.com")
             };
-            let strategy = mec_cdn::fallback::P1Policy::FallbackAfter(SimDuration::from_millis(
-                80,
-            ))
-            .strategy(self.mec, self.provider);
-            self.engine.issue(ctx, name, RrType::A, strategy, None, data);
+            let strategy = mec_cdn::fallback::P1Policy::FallbackAfter(SimDuration::from_millis(80))
+                .strategy(self.mec, self.provider);
+            self.engine
+                .issue(ctx, name, RrType::A, strategy, None, data);
         }
         fn on_datagram(&mut self, ctx: &mut NodeContext<'_>, dgram: Datagram) {
             self.engine.on_datagram(ctx, &dgram);

@@ -86,7 +86,9 @@ fn reconvergence_is_bounded_by_the_withdraw_delay() {
     let report = federation_experiment(2020, &cfg);
     let get = |name: &str| report.deployments.iter().find(|d| d.name == name).unwrap();
 
-    let anycast_ms = get("anycast-3site").reconverge_ms.expect("anycast reconverged");
+    let anycast_ms = get("anycast-3site")
+        .reconverge_ms
+        .expect("anycast reconverged");
     let withdraw_ms = cfg.withdraw_delay.as_millis_f64();
     let budget_ms = withdraw_ms
         + 3.0 * cfg.query_timeout.as_millis_f64() // retransmission backoff
@@ -100,7 +102,9 @@ fn reconvergence_is_bounded_by_the_withdraw_delay() {
         "anycast took {anycast_ms} ms, budget {budget_ms} ms"
     );
 
-    let select_ms = get("dns-select").reconverge_ms.expect("selection relocated");
+    let select_ms = get("dns-select")
+        .reconverge_ms
+        .expect("selection relocated");
     assert!(
         select_ms >= cfg.select_ttl.as_millis_f64(),
         "TTL-paced selection cannot beat its TTL: {select_ms} ms"
@@ -117,8 +121,12 @@ fn reconvergence_is_bounded_by_the_withdraw_delay() {
 fn federation_report_is_byte_identical_across_thread_counts() {
     let cfg = FederationConfig::quick();
     let bytes = |threads: usize| {
-        serde_json::to_string(&federation_experiment_with(2020, &Runner::new(threads), &cfg))
-            .expect("report serializes")
+        serde_json::to_string(&federation_experiment_with(
+            2020,
+            &Runner::new(threads),
+            &cfg,
+        ))
+        .expect("report serializes")
     };
     let serial = bytes(1);
     for threads in [2, 8] {

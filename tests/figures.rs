@@ -26,7 +26,12 @@ fn fig2_has_fifteen_bars_with_enough_samples() {
     assert_eq!(fig2.bars.len(), SITES.len() * 3, "5 sites x 3 networks");
     for b in &fig2.bars {
         // Paper: "Each bar is based on at least 12 tests".
-        assert!(b.samples >= 12, "{} has only {} samples", b.label, b.samples);
+        assert!(
+            b.samples >= 12,
+            "{} has only {} samples",
+            b.label,
+            b.samples
+        );
         assert_eq!(b.samples, FIG2_QUERIES_PER_SITE);
         assert!(b.min_ms <= b.mean_ms && b.mean_ms <= b.max_ms);
     }
@@ -253,9 +258,16 @@ fn fallback_experiment_availability_matrix() {
 #[test]
 fn dos_switch_protects_and_recovers() {
     let r = experiments::dos_experiment(SEED);
-    assert_eq!(r.activations, 1, "flood must trigger exactly one mitigation");
+    assert_eq!(
+        r.activations, 1,
+        "flood must trigger exactly one mitigation"
+    );
     assert_eq!(r.recoveries, 1, "and recover once it subsides");
-    assert!(r.availability > 0.99, "clients must not notice: {}", r.availability);
+    assert!(
+        r.availability > 0.99,
+        "clients must not notice: {}",
+        r.availability
+    );
     // The client's resolver timeline: MEC → provider → MEC.
     let distinct: Vec<_> = r
         .resolver_timeline
@@ -374,7 +386,10 @@ fn load_saturates_one_replica_and_recovers_with_four() {
         overloaded.answered
     );
     let scaled = get(64, 4);
-    assert!((scaled.answered - 1.0).abs() < 1e-9, "4 replicas must answer all");
+    assert!(
+        (scaled.answered - 1.0).abs() < 1e-9,
+        "4 replicas must answer all"
+    );
     assert!(
         scaled.mean_ms < overloaded.mean_ms / 5.0,
         "scale-out should collapse the queue: {} vs {}",
