@@ -16,9 +16,9 @@ use std::net::{IpAddr, Ipv4Addr};
 
 /// Blueprint for one serving process: which CDN namespace it owns,
 /// which cache servers the C-DNS hands out, and how big the L-DNS
-/// cache is. `Name`s are plain data and the intern table is a global
-/// lock, so a topology can be shared across shard threads while each
-/// thread builds its own (non-`Send`) engine from it.
+/// cache is. `Name`s are plain data, so a topology can be shared across
+/// shard threads while each thread builds its own (non-`Send`) engine
+/// from it.
 #[derive(Debug, Clone)]
 pub struct ServeTopology {
     /// The CDN's whole namespace (stub-routed to the C-DNS).
@@ -137,5 +137,44 @@ mod tests {
         assert_eq!(first.answer_a_addrs(), second.answer_a_addrs());
         let cache = engine.front_plugin::<CachePlugin>(0).unwrap();
         assert_eq!(cache.hits(), 1);
+    }
+
+    /// A long-running server must not keep every name it was asked:
+    /// serving grows no process-wide table, neither for names outside
+    /// the namespace (answered REFUSED) nor for hosted names the cache
+    /// stores and later evicts.
+    #[test]
+    fn served_names_are_not_interned() {
+        let topo = ServeTopology::default();
+        let mut engine = topo.engine();
+        let hosted = &topo.hosted[0];
+        let elsewhere = Name::parse("off-namespace.example").unwrap();
+        let per_kind = 10_000;
+        assert!(per_kind > topo.cache_capacity);
+        let names: Vec<Name> = (0..per_kind)
+            .flat_map(|i| {
+                let label = format!("intern-probe-{i}");
+                [
+                    hosted.child(&label).unwrap(),
+                    elsewhere.child(&label).unwrap(),
+                ]
+            })
+            .collect();
+        for (i, name) in names.iter().enumerate() {
+            let bytes = Message::query(i as u16, name.clone(), RrType::A)
+                .encode()
+                .unwrap();
+            let query = Message::decode(&bytes).unwrap();
+            let resp = engine.resolve(SimTime::ZERO, CLIENT, 5000, &query).unwrap();
+            let want = if name.is_subdomain_of(hosted) {
+                Rcode::NoError
+            } else {
+                Rcode::Refused
+            };
+            assert_eq!(resp.header.rcode, want, "{name}");
+            resp.encode_bounded(512).unwrap();
+        }
+        let interned = names.iter().filter(|n| n.lookup_id().is_some()).count();
+        assert_eq!(interned, 0, "served names left in the intern table");
     }
 }

@@ -204,7 +204,6 @@ pub const HOT_ALLOC_ROOTS: &[(&str, &str)] = &[
     ("crates/dns-wire/src/intern.rs", "lookup"),
     ("crates/dns-wire/src/intern.rs", "parent"),
     ("crates/dns-wire/src/intern.rs", "is_subdomain_of"),
-    ("crates/dns-wire/src/intern.rs", "suffix_chain"),
 ];
 
 /// The workspace policy: which rules apply to a file, by its

@@ -12,9 +12,9 @@
 //!
 //! The steady-state hit path allocates nothing:
 //!
-//! * Keys are interned `(NameId, qtype)` pairs — no `canonical()`
-//!   strings. Lookups probe the interner without growing it, so a miss
-//!   for a never-seen name is allocation-free too.
+//! * Keys are `(Name, qtype)` pairs, probed with a borrowed name: a
+//!   lookup copies nothing and builds no `canonical()` string, and the
+//!   cache holds only the names it stores, so eviction frees them.
 //! * Entries live in a slab (`Vec<Slot>` + free list) threaded onto an
 //!   index-based doubly-linked LRU list (head = most recent); eviction
 //!   pops the tail in O(1) instead of scanning the map for the minimum
@@ -22,19 +22,23 @@
 //! * Expired entries are purged via a min-expiry binary heap with lazy
 //!   invalidation (per-slot generation stamps), replacing the old
 //!   full-map `retain` at capacity inserts with amortized O(log n) work
-//!   per entry.
+//!   per entry. Stale nodes (left by overwrites and LRU evictions) are
+//!   swept once they outnumber the live ones, so the heap stays within
+//!   twice the capacity.
 //! * Answers are shared `Arc<[Record]>` sets; TTL decay is applied when
 //!   the answer is serialized into a response, not by deep-cloning the
 //!   record vector inside the cache.
 //!
-//! The pre-interning implementation is preserved as `naive::DnsCache`
+//! The first, string-keyed implementation is preserved as `naive::DnsCache`
 //! (tests only) so the equivalence suite can drive both side by side.
 
-use dns_wire::{Name, NameId, Rcode, Record, RrType};
+use dns_wire::{Name, Rcode, Record, RrType};
 use netsim::{SimDuration, SimTime};
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Null index in the intrusive LRU list.
@@ -46,9 +50,64 @@ const NIL: u32 = u32::MAX;
 /// cache implementations expire such entries on lookup instead.
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 
+/// A cache key: the question's name and type. The derived `Hash` and
+/// `Eq` take the fields in order, as the `KeyView` impls below do, which
+/// `Borrow` requires.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Key {
+    name: Name,
+    qtype: u16,
+}
+
+/// A key as the index hashes and compares it, owned or borrowed: a
+/// lookup probes with `(&Name, qtype)` and copies nothing.
+trait KeyView {
+    fn name(&self) -> &Name;
+    fn qtype(&self) -> u16;
+}
+
+impl KeyView for Key {
+    fn name(&self) -> &Name {
+        &self.name
+    }
+    fn qtype(&self) -> u16 {
+        self.qtype
+    }
+}
+
+impl KeyView for (&Name, u16) {
+    fn name(&self) -> &Name {
+        self.0
+    }
+    fn qtype(&self) -> u16 {
+        self.1
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name().hash(state);
+        self.qtype().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name() && self.qtype() == other.qtype()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
 #[derive(Debug, Clone)]
 struct Slot {
-    key: (NameId, u16),
+    key: Key,
     records: Arc<[Record]>,
     rcode: Rcode,
     expires: SimTime,
@@ -85,13 +144,7 @@ impl Store {
         }
     }
 
-    fn alloc(
-        &mut self,
-        key: (NameId, u16),
-        records: Arc<[Record]>,
-        rcode: Rcode,
-        expires: SimTime,
-    ) -> u32 {
+    fn alloc(&mut self, key: Key, records: Arc<[Record]>, rcode: Rcode, expires: SimTime) -> u32 {
         match self.free.pop() {
             Some(i) => {
                 let s = &mut self.slots[i as usize];
@@ -233,8 +286,8 @@ impl CacheHit {
 /// TTL + LRU cache for DNS answers.
 #[derive(Debug)]
 pub struct DnsCache {
-    /// `(interned name, qtype)` → slot index.
-    index: HashMap<(NameId, u16), u32>,
+    /// `(name, qtype)` → slot index.
+    index: HashMap<Key, u32>,
     store: Store,
     /// Min-heap of `(expires, slot, stamp)`; stale nodes are discarded
     /// lazily when their stamp no longer matches the slot.
@@ -273,18 +326,25 @@ impl DnsCache {
         self.index.is_empty()
     }
 
-    /// Stores a positive answer. The entry TTL is the smallest record
-    /// TTL, so no record is ever served beyond its own lifetime.
-    pub fn insert(&mut self, name: &Name, qtype: RrType, records: Vec<Record>, now: SimTime) {
-        if records.is_empty() {
+    /// Stores a positive answer, given as a `Vec` or a borrowed slice and
+    /// moved or copied once into the shared set. The entry TTL is the
+    /// smallest record TTL, so no record is ever served beyond its own
+    /// lifetime.
+    pub fn insert<R>(&mut self, name: &Name, qtype: RrType, records: R, now: SimTime)
+    where
+        R: AsRef<[Record]> + Into<Arc<[Record]>>,
+    {
+        let Some(min_ttl) = records.as_ref().iter().map(|r| r.ttl).min() else {
             return;
-        }
-        let min_ttl = records.iter().map(|r| r.ttl).min().unwrap_or(0);
+        };
         if min_ttl == 0 {
             return; // TTL 0 forbids caching
         }
         self.insert_entry(
-            (name.id(), qtype.to_u16()),
+            Key {
+                name: name.clone(),
+                qtype: qtype.to_u16(),
+            },
             records.into(),
             Rcode::NoError,
             now + SimDuration::from_secs(u64::from(min_ttl)),
@@ -307,7 +367,10 @@ impl DnsCache {
             return;
         }
         self.insert_entry(
-            (name.id(), qtype.to_u16()),
+            Key {
+                name: name.clone(),
+                qtype: qtype.to_u16(),
+            },
             Arc::from(Vec::new()),
             rcode,
             now + SimDuration::from_secs(u64::from(ttl)),
@@ -317,7 +380,7 @@ impl DnsCache {
 
     fn insert_entry(
         &mut self,
-        key: (NameId, u16),
+        key: Key,
         records: Arc<[Record]>,
         rcode: Rcode,
         expires: SimTime,
@@ -348,12 +411,24 @@ impl DnsCache {
                 self.expiry.push(Reverse((expires, i, stamp)));
             }
             MapEntry::Vacant(v) => {
-                let i = self.store.alloc(key, records, rcode, expires);
+                let i = self.store.alloc(v.key().clone(), records, rcode, expires);
                 v.insert(i);
                 self.store.push_front(i);
                 let stamp = self.store.slots[i as usize].stamp;
                 self.expiry.push(Reverse((expires, i, stamp)));
             }
+        }
+        if self.expiry.len() > 2 * self.capacity {
+            // Every overwrite and eviction leaves a stale node behind.
+            // Sweeping them once they outnumber the live slots keeps the
+            // heap within twice the capacity for O(1) amortized work per
+            // insert; purges pop the same live nodes in the same order.
+            let slots = &self.store.slots;
+            self.expiry.retain(|&Reverse((_, i, stamp))| {
+                slots
+                    .get(i as usize)
+                    .is_some_and(|s| s.live && s.stamp == stamp)
+            });
         }
     }
 
@@ -373,8 +448,7 @@ impl DnsCache {
     }
 
     fn remove_slot(&mut self, i: u32) {
-        let key = self.store.slots[i as usize].key;
-        let removed = self.index.remove(&key);
+        let removed = self.index.remove(&self.store.slots[i as usize].key);
         debug_assert_eq!(removed, Some(i), "index and slab out of sync");
         self.store.detach(i);
         self.store.release(i);
@@ -383,45 +457,31 @@ impl DnsCache {
     /// Looks up an answer without cloning it: on a hit, the shared
     /// record set plus the remaining lifetime. Expired entries — and
     /// entries inside their final second, whose truncated TTL would be
-    /// 0 and therefore uncacheable downstream — are removed in the same
-    /// (single) map probe. This is the steady-state zero-allocation path.
+    /// 0 and therefore uncacheable downstream — are removed by the
+    /// lookup that finds them. This is the steady-state zero-allocation
+    /// path: the probe borrows `name`.
     pub fn get_shared(&mut self, name: &Name, qtype: RrType, now: SimTime) -> Option<CacheHit> {
-        let Some(id) = name.lookup_id() else {
-            // Never-interned name: nothing was ever stored under it.
+        let probe = (name, qtype.to_u16());
+        let Some(&i) = self.index.get(&probe as &dyn KeyView) else {
             self.misses += 1;
             return None;
         };
-        match self.index.entry((id, qtype.to_u16())) {
-            MapEntry::Occupied(e) => {
-                let i = *e.get();
-                let s = &mut self.store.slots[i as usize];
-                let remaining_ns = s.expires.as_nanos().saturating_sub(now.as_nanos());
-                if remaining_ns >= NANOS_PER_SEC {
-                    let hit = CacheHit {
-                        records: Arc::clone(&s.records),
-                        rcode: s.rcode,
-                        remaining_ttl: (remaining_ns / NANOS_PER_SEC) as u32,
-                    };
-                    self.store.detach(i);
-                    self.store.push_front(i);
-                    self.hits += 1;
-                    Some(hit)
-                } else {
-                    // Single probe: the occupied entry removes itself —
-                    // no second hash of the key as the old
-                    // `get_mut`-then-`remove` pair paid.
-                    e.remove();
-                    self.store.detach(i);
-                    self.store.release(i);
-                    self.misses += 1;
-                    None
-                }
-            }
-            MapEntry::Vacant(_) => {
-                self.misses += 1;
-                None
-            }
+        let s = &self.store.slots[i as usize];
+        let remaining_ns = s.expires.as_nanos().saturating_sub(now.as_nanos());
+        if remaining_ns < NANOS_PER_SEC {
+            self.remove_slot(i);
+            self.misses += 1;
+            return None;
         }
+        let hit = CacheHit {
+            records: Arc::clone(&s.records),
+            rcode: s.rcode,
+            remaining_ttl: (remaining_ns / NANOS_PER_SEC) as u32,
+        };
+        self.store.detach(i);
+        self.store.push_front(i);
+        self.hits += 1;
+        Some(hit)
     }
 
     /// Looks up an answer. On a hit, returns the records with TTLs
@@ -915,6 +975,39 @@ mod tests {
         // Reusable after clear.
         c.insert(&n("b.test"), RrType::A, vec![a_record("b.test", 30)], at(0));
         assert!(c.get(&n("b.test"), RrType::A, at(1)).is_some());
+    }
+
+    #[test]
+    fn expiry_heap_stays_within_twice_the_capacity() {
+        // Virtual time frozen: nothing expires, so every insert past the
+        // capacity evicts the LRU tail and leaves its heap node stale.
+        let capacity = 16;
+        let mut c = DnsCache::new(capacity);
+        for i in 0..10 * capacity {
+            let name = format!("n{i}.test");
+            c.insert(&n(&name), RrType::A, vec![a_record(&name, 300)], at(0));
+            assert!(
+                c.expiry.len() <= 2 * capacity + 1,
+                "{} nodes",
+                c.expiry.len()
+            );
+        }
+        assert_eq!(c.len(), capacity);
+        // The newest entries survive and the sweep kept their nodes: they
+        // still expire on time.
+        let last = format!("n{}.test", 10 * capacity - 1);
+        assert!(c.get(&n(&last), RrType::A, at(299)).is_some());
+        c.insert(
+            &n("late.test"),
+            RrType::A,
+            vec![a_record("late.test", 300)],
+            at(301),
+        );
+        assert_eq!(
+            c.len(),
+            1,
+            "every expired entry purged at the capacity insert"
+        );
     }
 
     #[test]

@@ -4,10 +4,9 @@
 use crate::cache::DnsCache;
 use crate::plugin::{Plugin, PluginDecision, QueryCtx};
 use crate::zone::{LookupResult, Zone};
-use dns_wire::{Message, Name, NameId, RData, Rcode, Record, RrClass, RrType};
+use dns_wire::{Message, Name, RData, Rcode, Record, RrClass, RrType};
 use mec_orch::{ServiceRegistry, Visibility};
 use netsim::{Cidr, SimTime};
-use std::collections::HashMap;
 use std::net::IpAddr;
 
 /// Serves one or more authoritative zones — the root, TLD and A-DNS
@@ -123,12 +122,12 @@ impl Plugin for CachePlugin {
     }
 
     fn on_response(&mut self, ctx: &QueryCtx, response: &mut Message) {
-        let Some(q) = response.question().cloned() else {
+        let Some(q) = response.question() else {
             return;
         };
         if response.header.rcode == Rcode::NoError && !response.answers.is_empty() {
             self.cache
-                .insert(&q.qname, q.qtype, response.answers.clone(), ctx.now);
+                .insert(&q.qname, q.qtype, response.answers.as_slice(), ctx.now);
         } else if response.header.rcode == Rcode::NxDomain {
             self.cache
                 .insert_negative(&q.qname, q.qtype, Rcode::NxDomain, 30, ctx.now);
@@ -217,21 +216,17 @@ impl Plugin for KubernetesPlugin {
 /// configuration of L-DNS with the sub-domain and upstream server to
 /// ensure that L-DNS redirects queries for this CDN domain to C-DNS."*
 pub struct StubDomainPlugin {
-    /// Interned stub zone → upstream. Matching walks the query name's
-    /// parent chain in id space instead of scanning every stub with a
-    /// string-comparing `is_subdomain_of`.
-    stubs: HashMap<NameId, IpAddr>,
+    /// (zone, upstream) pairs in configuration order. A deployment has a
+    /// handful, so matching scans them with `is_subdomain_of`; nothing
+    /// about the query name is kept.
+    stubs: Vec<(Name, IpAddr)>,
 }
 
 impl StubDomainPlugin {
-    /// Creates the plugin from (zone, upstream) pairs.
+    /// Creates the plugin from (zone, upstream) pairs. For a zone listed
+    /// twice, the later upstream wins.
     pub fn new(pairs: Vec<(Name, IpAddr)>) -> Self {
-        let mut map = HashMap::new();
-        for (zone, upstream) in pairs {
-            // Later duplicates win, matching the old `max_by_key` scan.
-            map.insert(zone.id(), upstream);
-        }
-        StubDomainPlugin { stubs: map }
+        StubDomainPlugin { stubs: pairs }
     }
 }
 
@@ -244,19 +239,18 @@ impl Plugin for StubDomainPlugin {
         let Some(q) = query.question() else {
             return PluginDecision::Continue;
         };
-        // Most specific stub wins: the first hit walking from the query
-        // name toward the root.
-        let mut best = None;
-        let mut cur = Some(q.qname.id());
-        while let Some(id) = cur {
-            if let Some(&upstream) = self.stubs.get(&id) {
-                best = Some(upstream);
-                break;
+        // Most specific stub wins. Zones that both contain the name are
+        // nested, so the longer one is the more specific; of equal ones,
+        // the later.
+        let mut best: Option<(usize, IpAddr)> = None;
+        for (zone, upstream) in &self.stubs {
+            let len = zone.encoded_len();
+            if best.is_none_or(|(b, _)| len >= b) && q.qname.is_subdomain_of(zone) {
+                best = Some((len, *upstream));
             }
-            cur = id.parent();
         }
         match best {
-            Some(upstream) => {
+            Some((_, upstream)) => {
                 ctx.telemetry.incr("dns.stub_domain.redirect");
                 ctx.telemetry.mark(
                     u64::from(query.header.id),

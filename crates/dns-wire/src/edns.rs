@@ -9,7 +9,7 @@ use crate::error::WireError;
 use crate::name::Name;
 use crate::rdata::RData;
 use crate::record::{Record, RrClass, RrType};
-use crate::wire::{Reader, Writer};
+use crate::wire::{Reader, Writer, MAX_MESSAGE_LEN};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// EDNS option code for Client Subnet (RFC 7871).
@@ -79,19 +79,38 @@ impl ClientSubnet {
         }
     }
 
-    fn encode(&self, w: &mut Writer) -> Result<(), WireError> {
-        let (family, octets): (u16, Vec<u8>) = match self.addr {
-            IpAddr::V4(ip) => (FAMILY_IPV4, ip.octets().to_vec()),
-            IpAddr::V6(ip) => (FAMILY_IPV6, ip.octets().to_vec()),
+    /// Length of the option body — family, the two prefix lengths and
+    /// the disclosed address octets — or the error encoding it reports.
+    fn body_len(&self) -> Result<usize, WireError> {
+        let family_bits = match self.addr {
+            IpAddr::V4(_) => 32,
+            IpAddr::V6(_) => 128,
         };
-        let max_bits = octets.len() as u8 * 8;
-        if self.source_prefix > max_bits {
+        if self.source_prefix > family_bits {
             return Err(WireError::BadClientSubnet("source prefix exceeds family"));
         }
-        let addr_len = usize::from(self.source_prefix.div_ceil(8));
+        Ok(4 + usize::from(self.source_prefix.div_ceil(8)))
+    }
+
+    /// Writes the whole option: code, length and body.
+    fn encode(&self, w: &mut Writer) -> Result<(), WireError> {
+        let body_len = self.body_len()?;
+        let (v4, v6);
+        let (family, octets): (u16, &[u8]) = match self.addr {
+            IpAddr::V4(ip) => {
+                v4 = ip.octets();
+                (FAMILY_IPV4, &v4)
+            }
+            IpAddr::V6(ip) => {
+                v6 = ip.octets();
+                (FAMILY_IPV6, &v6)
+            }
+        };
         let disclosed = octets
-            .get(..addr_len)
+            .get(..body_len - 4)
             .ok_or(WireError::BadClientSubnet("source prefix exceeds family"))?;
+        w.write_u16(OPTION_CLIENT_SUBNET);
+        w.write_u16(body_len as u16);
         w.write_u16(family);
         w.write_u8(self.source_prefix);
         w.write_u8(self.scope_prefix);
@@ -232,35 +251,68 @@ impl Opt {
         })
     }
 
-    /// Renders this OPT as the pseudo-record placed in the additional
-    /// section.
-    pub fn to_record(&self) -> Result<Record, WireError> {
-        let mut w = Writer::new();
+    /// The OPT record's TTL field: extended RCODE, version and DO bit.
+    fn ttl(&self) -> u32 {
+        u32::from(self.extended_rcode) << 24
+            | u32::from(self.version) << 16
+            | if self.dnssec_ok { 1 << 15 } else { 0 }
+    }
+
+    /// Length of the option block (the OPT record's RDATA), or the error
+    /// encoding the options reports, checked option by option.
+    pub(crate) fn options_len(&self) -> Result<usize, WireError> {
+        let mut len = 0;
+        for opt in &self.options {
+            len += 4 + match opt {
+                EdnsOption::ClientSubnet(cs) => cs.body_len()?,
+                EdnsOption::Other { data, .. } => {
+                    u16::try_from(data.len()).map_err(|_| WireError::BadEdnsOption)?;
+                    data.len()
+                }
+            };
+        }
+        if len > MAX_MESSAGE_LEN {
+            return Err(WireError::MessageTooLong(len));
+        }
+        Ok(len)
+    }
+
+    /// Writes the option block; [`Opt::options_len`] has checked it.
+    fn write_options(&self, w: &mut Writer) -> Result<(), WireError> {
         for opt in &self.options {
             match opt {
-                EdnsOption::ClientSubnet(cs) => {
-                    let mut body = Writer::new();
-                    cs.encode(&mut body)?;
-                    let body = body.finish()?;
-                    w.write_u16(OPTION_CLIENT_SUBNET);
-                    w.write_u16(body.len() as u16);
-                    w.write_bytes(&body);
-                }
+                EdnsOption::ClientSubnet(cs) => cs.encode(w)?,
                 EdnsOption::Other { code, data } => {
-                    let len = u16::try_from(data.len()).map_err(|_| WireError::BadEdnsOption)?;
                     w.write_u16(*code);
-                    w.write_u16(len);
+                    w.write_u16(data.len() as u16);
                     w.write_bytes(data);
                 }
             }
         }
-        let ttl = u32::from(self.extended_rcode) << 24
-            | u32::from(self.version) << 16
-            | if self.dnssec_ok { 1 << 15 } else { 0 };
+        Ok(())
+    }
+
+    /// Writes the OPT pseudo-record: the root as owner, type OPT, the
+    /// payload size as class, the flags as TTL, then the option block.
+    pub(crate) fn encode(&self, w: &mut Writer) -> Result<(), WireError> {
+        let len = self.options_len()?;
+        w.write_u8(0);
+        w.write_u16(RrType::Opt.to_u16());
+        w.write_u16(self.udp_payload_size);
+        w.write_u32(self.ttl());
+        w.write_u16(len as u16);
+        self.write_options(w)
+    }
+
+    /// Renders this OPT as the pseudo-record placed in the additional
+    /// section.
+    pub fn to_record(&self) -> Result<Record, WireError> {
+        let mut w = Writer::with_capacity(self.options_len()?);
+        self.write_options(&mut w)?;
         Ok(Record {
             name: Name::root(),
             class: RrClass::Other(self.udp_payload_size),
-            ttl,
+            ttl: self.ttl(),
             rdata: RData::OptRaw(w.finish()?),
         })
     }

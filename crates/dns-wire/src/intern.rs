@@ -2,25 +2,29 @@
 //!
 //! [`NameId`] is a process-global, case-insensitive identity for a
 //! [`Name`]: two names with equal canonical form always intern to the
-//! same id, so the hot resolution path (cache keys, zone walks, stub
-//! matching, wire-compression maps) can compare, hash and suffix-match
-//! names as `u32`s without allocating `canonical()` strings. Interning a
+//! same id, so code that keeps names in tables (zone walks, the
+//! commercial CDN's per-domain state) can compare, hash and suffix-match
+//! them as `u32`s without allocating `canonical()` strings. Interning a
 //! name eagerly interns its whole parent chain, which makes suffix ids
 //! and [`NameId::parent`] table reads and [`NameId::is_subdomain_of`] a
 //! short parent walk — the same trick production resolvers (Unbound,
 //! BIND) use for their name trees.
 //!
-//! Identity follows case-folded *label structure*: ids are keyed on
-//! length-framed lowercased labels, which agrees with
+//! Identity follows case-folded *label structure*: ids are keyed on the
+//! lowercased wire form (length-framed labels), which agrees with
 //! `Name::canonical()` string equality for every name whose labels are
 //! free of dot octets (all names `Name::parse` can build) and stays
 //! faithful to `Name::eq` even for hostile wire-decoded labels that
 //! embed dots — `["a.b"]` and `["a", "b"]` get distinct ids. A lookup
 //! of a never-interned name ([`NameId::lookup`]) costs one
-//! deterministic FNV pass over the borrowed labels plus a bucket probe:
+//! deterministic FNV pass over the name's wire bytes plus a bucket probe:
 //! no allocation, no table growth.
+//!
+//! The table is append-only, so the serving path (decode, the cache,
+//! stub routing, encode) never interns: a long-running server would keep
+//! every name it was ever asked.
 
-use crate::name::Name;
+use crate::name::{self, Name, MAX_LABELS};
 use std::collections::HashMap;
 use std::sync::{LazyLock, RwLock};
 
@@ -87,79 +91,45 @@ fn table_write() -> std::sync::RwLockWriteGuard<'static, Tables> {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over the canonical framed bytes of a label slice, computed
-/// without materialising them. A hand-rolled deterministic hash (rather
-/// than the std `RandomState`) lets the bucket map be probed from
-/// borrowed labels. Hashing the length octet before each label's bytes
-/// mirrors the framed `Entry::canon` layout, so structurally distinct
-/// label vectors hash (and compare) distinctly.
-fn fnv_labels(labels: &[Vec<u8>]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for l in labels {
-        h = (h ^ (l.len() as u64)).wrapping_mul(FNV_PRIME);
-        for &b in l {
-            h = (h ^ u64::from(b.to_ascii_lowercase())).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
-/// True when `canon` equals the canonical framed bytes of `labels`.
-// detlint: allow-item(hot-index) — every index below is guarded by the
-// preceding `end > canon.len()` / `pos >= canon.len()` short-circuit in
-// the same condition.
-fn canon_matches(canon: &[u8], labels: &[Vec<u8>]) -> bool {
-    let mut pos = 0;
-    for l in labels {
-        let end = pos + 1 + l.len();
-        if pos >= canon.len()
-            || end > canon.len()
-            || usize::from(canon[pos]) != l.len()
-            || !canon[pos + 1..end]
-                .iter()
-                .zip(l.iter())
-                .all(|(&c, &b)| c == b.to_ascii_lowercase())
-        {
-            return false;
-        }
-        pos = end;
-    }
-    pos == canon.len()
+/// FNV-1a over the lowercased wire form of a label sequence. A
+/// hand-rolled deterministic hash (rather than the std `RandomState`)
+/// lets the bucket map be probed from a borrowed name. Lowercasing
+/// leaves the length octets (at most 63) alone, so this hashes the
+/// framed `Entry::canon` layout, and structurally distinct label
+/// sequences hash (and compare) distinctly.
+fn fnv_wire(wire: &[u8]) -> u64 {
+    wire.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b.to_ascii_lowercase())).wrapping_mul(FNV_PRIME)
+    })
 }
 
 // detlint: allow-item(hot-index) — ids stored in `buckets` are minted
-// by `intern_labels` from `entries.len()`, so they always index in
-// bounds; `labels[k..]` has `k < labels.len()` from the loop bound.
+// by `intern_wire` from `entries.len()`, so they always index in
+// bounds.
 impl Tables {
-    fn find(&self, hash: u64, labels: &[Vec<u8>]) -> Option<NameId> {
+    fn find(&self, hash: u64, wire: &[u8]) -> Option<NameId> {
         self.buckets
             .get(&hash)?
             .iter()
             .copied()
-            .find(|&id| canon_matches(&self.entries[id as usize].canon, labels))
+            // `canon` is lowercase already.
+            .find(|&id| self.entries[id as usize].canon.eq_ignore_ascii_case(wire))
             .map(NameId)
     }
 
-    // detlint: allow-item(hot-alloc) — first-sight interning only: the
-    // canonical bytes are built once per *new* name, and the steady-state
-    // encode path (`suffix_chain` on an already-interned name) returns
-    // from `find` before reaching this branch.
-    fn intern_labels(&mut self, labels: &[Vec<u8>]) -> NameId {
+    fn intern_wire(&mut self, wire: &[u8]) -> NameId {
         // Walk suffixes shortest-first so each new entry's parent exists
         // before the entry itself; suffix ids thus form the parent chain.
-        let n = labels.len();
+        let mut starts = [0; MAX_LABELS];
+        let n = name::label_starts(wire, &mut starts);
         let mut parent = 0u32; // root
-        for k in (0..n).rev() {
-            let suffix = &labels[k..];
-            let h = fnv_labels(suffix);
+        for (k, &start) in starts.iter().enumerate().take(n).rev() {
+            let suffix = wire.get(usize::from(start)..).unwrap_or(&[]);
+            let h = fnv_wire(suffix);
             match self.find(h, suffix) {
                 Some(id) => parent = id.0,
                 None => {
-                    let mut canon = Vec::with_capacity(suffix.iter().map(|l| l.len() + 1).sum());
-                    for l in suffix {
-                        canon.push(l.len() as u8);
-                        canon.extend(l.iter().map(|b| b.to_ascii_lowercase()));
-                    }
+                    let canon = suffix.to_ascii_lowercase();
                     // detlint: allow(hot-panic) — 2^32 interned names means
                     // the workload itself is broken; a capacity abort beats
                     // silently wrapping ids.
@@ -187,20 +157,20 @@ impl NameId {
 
     /// Interns `name` (and its whole parent chain), returning its id.
     pub fn intern(name: &Name) -> NameId {
-        let labels = name.label_slices();
-        let h = fnv_labels(labels);
-        if let Some(id) = table_read().find(h, labels) {
+        let wire = name.wire();
+        let h = fnv_wire(wire);
+        if let Some(id) = table_read().find(h, wire) {
             return id;
         }
-        table_write().intern_labels(labels)
+        table_write().intern_wire(wire)
     }
 
     /// The id of `name` if it has ever been interned — the allocation-free
     /// probe used on cache-miss paths, where growing the table for a name
     /// nobody has stored would be wasted work.
     pub fn lookup(name: &Name) -> Option<NameId> {
-        let labels = name.label_slices();
-        table_read().find(fnv_labels(labels), labels)
+        let wire = name.wire();
+        table_read().find(fnv_wire(wire), wire)
     }
 
     /// The parent name's id (one label removed), or `None` at the root.
@@ -261,28 +231,6 @@ impl NameId {
         }
         s
     }
-}
-
-/// Interns `name` and writes the ids of all its suffixes into `out`:
-/// `out[k]` is the id of the name with the first `k` labels removed, so
-/// `out[0]` is the full name. Returns the label count. Used by the wire
-/// encoder to key its compression map without building suffix strings.
-///
-/// # Panics
-/// Panics if `out` is shorter than `name.label_count()`.
-// detlint: allow-item(hot-index) — `cur` walks stored parent ids, which
-// the interner guarantees in bounds (see `impl NameId`).
-pub fn suffix_chain(name: &Name, out: &mut [NameId]) -> usize {
-    let n = name.label_count();
-    assert!(n <= out.len(), "suffix_chain buffer too small");
-    let id = NameId::intern(name);
-    let t = table_read();
-    let mut cur = id.0;
-    for slot in out.iter_mut().take(n) {
-        *slot = NameId(cur);
-        cur = t.entries[cur as usize].parent;
-    }
-    n
 }
 
 #[cfg(test)]
@@ -348,18 +296,6 @@ mod tests {
         assert_eq!(NameId::lookup(&fresh), Some(id));
         // Suffixes were interned along the way.
         assert!(NameId::lookup(&n("invalid")).is_some());
-    }
-
-    #[test]
-    fn suffix_chain_is_the_parent_chain() {
-        let name = n("www.example.com");
-        let mut chain = [NameId::ROOT; 8];
-        let len = suffix_chain(&name, &mut chain);
-        assert_eq!(len, 3);
-        assert_eq!(chain[0], NameId::intern(&name));
-        assert_eq!(chain[1], NameId::intern(&n("example.com")));
-        assert_eq!(chain[2], NameId::intern(&n("com")));
-        assert_eq!(chain[0].parent(), Some(chain[1]));
     }
 
     #[test]

@@ -12,6 +12,13 @@ use std::fmt;
 /// must fit within when the client advertised no EDNS payload size.
 pub const CLASSIC_UDP_PAYLOAD: usize = 512;
 
+/// The fixed header's octets.
+const HEADER_LEN: usize = 12;
+
+/// An OPT record's octets ahead of its option block: the root owner,
+/// type, class, TTL and RDLENGTH.
+const OPT_FIXED_LEN: usize = 11;
+
 /// A question: name, type and class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Question {
@@ -158,8 +165,9 @@ impl Message {
     /// its 16-bit count field — the counts on the wire always match the
     /// sections exactly.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut w = Writer::new();
-        self.header.encode(&mut w, self.section_counts()?);
+        let counts = self.section_counts()?;
+        let mut w = Writer::with_capacity(self.wire_len_bound());
+        self.header.encode(&mut w, counts);
         for q in &self.questions {
             q.encode(&mut w)?;
         }
@@ -172,9 +180,31 @@ impl Message {
             rec.encode(&mut w)?;
         }
         if let Some(opt) = &self.edns {
-            opt.to_record()?.encode(&mut w)?;
+            opt.encode(&mut w)?;
         }
         w.finish()
+    }
+
+    /// The encoded length with no name compressed: what a writer sized
+    /// up front needs so that it never grows.
+    fn wire_len_bound(&self) -> usize {
+        let questions: usize = self
+            .questions
+            .iter()
+            .map(|q| q.qname.encoded_len() + 4)
+            .sum();
+        let records: usize = self
+            .answers
+            .iter()
+            .chain(&self.authorities)
+            .chain(&self.additionals)
+            .map(Record::wire_len)
+            .sum();
+        let opt = self
+            .edns
+            .as_ref()
+            .map_or(0, |opt| OPT_FIXED_LEN + opt.options_len().unwrap_or(0));
+        HEADER_LEN + questions + records + opt
     }
 
     /// Encodes the message into at most `max_payload` bytes, dropping
@@ -195,22 +225,24 @@ impl Message {
         // Bounding is not an excuse for a count lie: validate first.
         self.section_counts()?;
         let limit = max_payload.min(MAX_MESSAGE_LEN);
-        let opt_bytes = match &self.edns {
+        let opt_len = match &self.edns {
             Some(opt) => {
-                let mut ow = Writer::new();
-                opt.to_record()?.encode(&mut ow)?;
-                ow.finish()?
+                let len = OPT_FIXED_LEN + opt.options_len()?;
+                if len > MAX_MESSAGE_LEN {
+                    return Err(WireError::MessageTooLong(len));
+                }
+                len
             }
-            None => Vec::new(),
+            None => 0,
         };
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(self.wire_len_bound().min(limit));
         self.header.encode(&mut w, [0, 0, 0, 0]);
         for q in &self.questions {
             q.encode(&mut w)?;
         }
-        let Some(budget) = limit.checked_sub(opt_bytes.len()).filter(|&b| w.len() <= b) else {
+        let Some(budget) = limit.checked_sub(opt_len).filter(|&b| w.len() <= b) else {
             // Not even header + questions + OPT fit the transport.
-            return Err(WireError::MessageTooLong(w.len() + opt_bytes.len()));
+            return Err(WireError::MessageTooLong(w.len() + opt_len));
         };
         // Fill sections in wire order until a record would overflow the
         // budget; from that point every later record is dropped too.
@@ -248,7 +280,9 @@ impl Message {
                 }
             }
         }
-        w.write_bytes(&opt_bytes);
+        if let Some(opt) = &self.edns {
+            opt.encode(&mut w)?;
+        }
         // Back-patch the real counts (offsets 4..12) and, if any record
         // was dropped, the TC bit in the flags word at offset 2.
         w.patch_u16(4, self.questions.len() as u16);
@@ -662,5 +696,79 @@ mod tests {
         let len = m.encode().unwrap().len();
         // header(12) + question(name 18 + 4) + answer(ptr 2 + 10 + 4)
         assert_eq!(len, 12 + 18 + 4 + 2 + 10 + 4);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A referral-shaped response: the question, three NS records whose
+    /// owners and targets share mixed-case suffixes, three glue A
+    /// records and an OPT record with ECS.
+    fn referral() -> Message {
+        let n = |s: &str| Name::parse(s).unwrap();
+        let mut m = Message::query(0x5A5A, n("Www.Video.MyCdn.ciab.test"), RrType::A);
+        m.header.is_response = true;
+        m.header.recursion_desired = true;
+        let targets = [
+            "ns1.MyCdn.ciab.TEST",
+            "NS2.mycdn.ciab.test",
+            "ns3.Video.mycdn.Ciab.test",
+        ];
+        for (i, ns) in targets.into_iter().enumerate() {
+            m.authorities.push(Record::new(
+                n("video.MYCDN.ciab.test"),
+                RrClass::In,
+                3600,
+                RData::Ns(n(ns)),
+            ));
+            m.additionals.push(Record::new(
+                n(ns),
+                RrClass::In,
+                3600,
+                RData::A(Ipv4Addr::new(10, 96, 0, 1 + i as u8)),
+            ));
+        }
+        let ecs = ClientSubnet::query("203.0.113.0".parse().unwrap(), 24).with_scope(24);
+        m.with_client_subnet(ecs)
+    }
+
+    /// Pinned bytes: compression matches suffixes case-insensitively,
+    /// points at the first place a suffix was written, never records
+    /// record-data names, and forgets the suffixes of a dropped record.
+    #[test]
+    fn compressed_bytes_are_pinned() {
+        assert_eq!(
+            hex(&referral().encode().unwrap()),
+            "5a5a810000010000000300040357777705566964656f054d7943646e04636961\
+             6204746573740000010001c0100002000100000e100015036e7331054d794364\
+             6e0463696162045445535400c0100002000100000e100015034e5332056d7963\
+             646e0463696162047465737400c0100002000100000e10001b036e7333055669\
+             64656f056d7963646e0443696162047465737400036e7331c016000100010000\
+             0e1000040a600001034e5332c0160001000100000e1000040a600002036e7333\
+             c0100001000100000e1000040a60000300002904d000000000000b0008000700\
+             011818cb0071"
+        );
+        let mut forty = response_with_answers(40);
+        forty.edns = Some(Opt::default());
+        assert_eq!(
+            hex(&forty.encode_bounded(CLASSIC_UDP_PAYLOAD).unwrap()),
+            "000782000001001c0000000105766964656f056d7963646e0463696162047465\
+             73740000010001c00c000100010000001e00040a000001c00c00010001000000\
+             1e00040a000002c00c000100010000001e00040a000003c00c00010001000000\
+             1e00040a000004c00c000100010000001e00040a000005c00c00010001000000\
+             1e00040a000006c00c000100010000001e00040a000007c00c00010001000000\
+             1e00040a000008c00c000100010000001e00040a000009c00c00010001000000\
+             1e00040a00000ac00c000100010000001e00040a00000bc00c00010001000000\
+             1e00040a00000cc00c000100010000001e00040a00000dc00c00010001000000\
+             1e00040a00000ec00c000100010000001e00040a00000fc00c00010001000000\
+             1e00040a000010c00c000100010000001e00040a000011c00c00010001000000\
+             1e00040a000012c00c000100010000001e00040a000013c00c00010001000000\
+             1e00040a000014c00c000100010000001e00040a000015c00c00010001000000\
+             1e00040a000016c00c000100010000001e00040a000017c00c00010001000000\
+             1e00040a000018c00c000100010000001e00040a000019c00c00010001000000\
+             1e00040a00001ac00c000100010000001e00040a00001bc00c00010001000000\
+             1e00040a00001c00002904d0000000000000"
+        );
     }
 }

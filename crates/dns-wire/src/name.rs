@@ -1,7 +1,13 @@
 //! Domain names: parsing, comparison and wire encoding with compression.
+//!
+//! A [`Name`] is stored as its uncompressed wire form: length-prefixed
+//! labels, leftmost first, without the closing root octet. Up to
+//! 46 octets of it are kept inline, so a typical CDN name is copied,
+//! compared and hashed without touching the heap; a longer name takes
+//! one allocation. The encoder and decoder work on that form directly.
 
 use crate::error::WireError;
-use crate::intern::{self, NameId};
+use crate::intern::NameId;
 use crate::wire::{Reader, Writer};
 use std::fmt;
 
@@ -20,7 +26,23 @@ pub const MAX_LABELS: usize = (MAX_NAME_LEN - 1) / 2;
 /// message can still construct inside already-read bytes.
 pub const MAX_POINTER_HOPS: usize = 32;
 
-/// A fully-qualified domain name, stored as a sequence of labels.
+/// Longest label sequence of a valid name: the name limit less the root
+/// octet, which is implied.
+const MAX_WIRE_LEN: usize = MAX_NAME_LEN - 1;
+
+/// Longest label sequence kept inline. 46 octets make a 48-byte `Name`
+/// and hold every name the benchmark workloads serve (32 octets at most).
+const INLINE_LEN: usize = 46;
+
+/// Where the label sequence lives. The variant follows from the length,
+/// so equal names may differ only in letter case, never in layout.
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, buf: [u8; INLINE_LEN] },
+    Heap(Box<[u8]>),
+}
+
+/// A fully-qualified domain name, stored as its uncompressed wire form.
 ///
 /// Names compare and hash case-insensitively, as RFC 1035 §2.3.3 requires,
 /// but preserve the case they were created with for display.
@@ -32,29 +54,104 @@ pub const MAX_POINTER_HOPS: usize = 32;
 /// assert_eq!(a, b);
 /// assert!(a.is_subdomain_of(&Name::parse("mycdn.ciab.test").unwrap()));
 /// ```
-#[derive(Debug)]
+#[derive(Clone)]
 pub struct Name {
-    labels: Vec<Vec<u8>>,
+    /// Always a valid label sequence: lengths 1..=63, each followed by
+    /// that many octets, at most [`MAX_WIRE_LEN`] octets in all.
+    repr: Repr,
 }
 
-impl Clone for Name {
-    fn clone(&self) -> Self {
-        Name {
-            labels: self.labels.clone(),
+/// A label sequence under construction, on the stack.
+struct WireBuf {
+    buf: [u8; MAX_WIRE_LEN],
+    len: usize,
+}
+
+impl WireBuf {
+    fn new() -> Self {
+        WireBuf {
+            buf: [0; MAX_WIRE_LEN],
+            len: 0,
         }
     }
 
-    /// Reuses `self`'s label buffers, so a name rebuilt in place
-    /// allocates only where it outgrows them.
-    fn clone_from(&mut self, source: &Self) {
-        self.labels.clone_from(&source.labels);
+    /// Appends `bytes`; writes nothing when they would not fit.
+    fn push(&mut self, bytes: &[u8]) {
+        let end = self.len + bytes.len();
+        if let Some(dst) = self.buf.get_mut(self.len..end) {
+            dst.copy_from_slice(bytes);
+            self.len = end;
+        }
     }
+
+    fn name(&self) -> Name {
+        Name::from_wire(self.buf.get(..self.len).unwrap_or(&[]))
+    }
+}
+
+/// The labels of a label sequence, leftmost first.
+struct Labels<'a>(&'a [u8]);
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, rest) = self.0.split_first()?;
+        let (label, rest) = rest.split_at_checked(usize::from(len))?;
+        self.0 = rest;
+        Some(label)
+    }
+}
+
+/// Writes the offset of each label's length octet in `wire` into
+/// `starts`, leftmost first, and returns how many labels there are.
+/// Offsets of a valid name are below 254, so they fit a `u8`.
+pub(crate) fn label_starts(wire: &[u8], starts: &mut [u8; MAX_LABELS]) -> usize {
+    let mut n = 0;
+    let mut pos = 0;
+    while let (Some(&len), Some(slot)) = (wire.get(pos), starts.get_mut(n)) {
+        *slot = pos as u8;
+        n += 1;
+        pos += 1 + usize::from(len);
+    }
+    n
+}
+
+/// The label whose length octet is at `start`.
+fn label_at(wire: &[u8], start: u8) -> &[u8] {
+    wire.get(usize::from(start)..)
+        .and_then(|tail| Labels(tail).next())
+        .unwrap_or(&[])
 }
 
 impl Name {
     /// The root name (zero labels, encoded as a single zero octet).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name::from_wire(&[])
+    }
+
+    /// Wraps a label sequence the caller has checked.
+    fn from_wire(wire: &[u8]) -> Self {
+        let mut buf = [0; INLINE_LEN];
+        let repr = match buf.get_mut(..wire.len()) {
+            Some(dst) => {
+                dst.copy_from_slice(wire);
+                Repr::Inline {
+                    len: wire.len() as u8,
+                    buf,
+                }
+            }
+            None => Repr::Heap(wire.into()),
+        };
+        Name { repr }
+    }
+
+    /// The uncompressed wire form without the root octet.
+    pub(crate) fn wire(&self) -> &[u8] {
+        match &self.repr {
+            Repr::Inline { len, buf } => buf.get(..usize::from(*len)).unwrap_or(&[]),
+            Repr::Heap(wire) => wire,
+        }
     }
 
     /// Parses presentation format (`"www.example.com"`, trailing dot
@@ -65,7 +162,10 @@ impl Name {
         if s.is_empty() {
             return Ok(Name::root());
         }
-        let mut labels = Vec::new();
+        let mut wire = WireBuf::new();
+        // Encoded length, root octet included. It keeps counting past
+        // the limit, so that a bad label anywhere is reported first.
+        let mut octets = 1;
         for label in s.split('.') {
             if label.is_empty() {
                 return Err(WireError::EmptyName);
@@ -73,49 +173,33 @@ impl Name {
             if label.len() > MAX_LABEL_LEN {
                 return Err(WireError::LabelTooLong(label.len()));
             }
-            for &b in label.as_bytes() {
-                if !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
-                    return Err(WireError::InvalidLabelByte(b));
-                }
+            let bad = |&&b: &&u8| !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_');
+            if let Some(&b) = label.as_bytes().iter().find(bad) {
+                return Err(WireError::InvalidLabelByte(b));
             }
-            labels.push(label.as_bytes().to_vec());
+            octets += 1 + label.len();
+            wire.push(&[label.len() as u8]);
+            wire.push(label.as_bytes());
         }
-        let name = Name { labels };
-        let encoded = name.encoded_len();
-        if encoded > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(encoded));
+        if octets > MAX_NAME_LEN {
+            return Err(WireError::NameTooLong(octets));
         }
-        Ok(name)
-    }
-
-    /// Builds a name from raw labels (used by the decoder).
-    fn from_labels(labels: Vec<Vec<u8>>) -> Result<Self, WireError> {
-        let name = Name { labels };
-        let encoded = name.encoded_len();
-        if encoded > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(encoded));
-        }
-        Ok(name)
+        Ok(wire.name())
     }
 
     /// Number of labels (the root has zero).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire().is_empty()
     }
 
     /// Iterates over the labels, leftmost (most specific) first.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_slice())
-    }
-
-    /// Raw label storage, for the interner.
-    pub(crate) fn label_slices(&self) -> &[Vec<u8>] {
-        &self.labels
+        Labels(self.wire())
     }
 
     /// Interns this name (and its parent chain), returning its
@@ -132,27 +216,34 @@ impl Name {
 
     /// Length of the uncompressed wire encoding, including the root octet.
     pub fn encoded_len(&self) -> usize {
-        self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
+        self.wire().len() + 1
     }
 
     /// True if `self` equals `ancestor` or sits below it in the tree.
     /// Every name is a subdomain of the root.
     pub fn is_subdomain_of(&self, ancestor: &Name) -> bool {
-        if ancestor.labels.len() > self.labels.len() {
+        let (wire, tail) = (self.wire(), ancestor.wire());
+        let Some(cut) = wire.len().checked_sub(tail.len()) else {
             return false;
+        };
+        // The ancestor must start at one of `self`'s labels, not inside one.
+        let mut pos = 0;
+        while pos < cut {
+            match wire.get(pos) {
+                Some(&len) => pos += 1 + usize::from(len),
+                None => return false,
+            }
         }
-        self.labels
-            .iter()
-            .rev()
-            .zip(ancestor.labels.iter().rev())
-            .all(|(a, b)| eq_ignore_case(a, b))
+        pos == cut
+            && wire
+                .get(cut..)
+                .is_some_and(|s| s.eq_ignore_ascii_case(tail))
     }
 
     /// Returns the parent name (one label removed), or `None` at the root.
     pub fn parent(&self) -> Option<Name> {
-        self.labels.get(1..).map(|rest| Name {
-            labels: rest.to_vec(),
-        })
+        let (&len, rest) = self.wire().split_first()?;
+        rest.get(usize::from(len)..).map(Name::from_wire)
     }
 
     /// Prepends `label` to produce a child name.
@@ -163,26 +254,46 @@ impl Name {
         if label.len() > MAX_LABEL_LEN {
             return Err(WireError::LabelTooLong(label.len()));
         }
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.as_bytes().to_vec());
-        labels.extend(self.labels.iter().cloned());
-        Name::from_labels(labels)
+        let octets = 1 + label.len() + self.encoded_len();
+        if octets > MAX_NAME_LEN {
+            return Err(WireError::NameTooLong(octets));
+        }
+        let mut wire = WireBuf::new();
+        wire.push(&[label.len() as u8]);
+        wire.push(label.as_bytes());
+        wire.push(self.wire());
+        Ok(wire.name())
+    }
+
+    /// Writes the canonical presentation — lowercased, each label
+    /// followed by a dot, a lone dot for the root — into `out` and
+    /// returns its length, which is never more than [`MAX_WIRE_LEN`].
+    fn canonical_bytes(&self, out: &mut [u8; MAX_WIRE_LEN]) -> usize {
+        let wire = self.wire();
+        let mut dst = out.iter_mut();
+        for label in self.labels() {
+            for (&b, d) in label.iter().zip(dst.by_ref()) {
+                *d = b.to_ascii_lowercase();
+            }
+            if let Some(d) = dst.next() {
+                *d = b'.';
+            }
+        }
+        if wire.is_empty() {
+            if let Some(d) = dst.next() {
+                *d = b'.';
+            }
+            return 1;
+        }
+        wire.len()
     }
 
     /// Canonical lowercase presentation with a trailing dot; the key used
     /// for case-insensitive map lookups and compression.
     pub fn canonical(&self) -> String {
-        if self.labels.is_empty() {
-            return ".".to_string();
-        }
-        let mut s = String::with_capacity(self.encoded_len());
-        for l in &self.labels {
-            for &b in l {
-                s.push(b.to_ascii_lowercase() as char);
-            }
-            s.push('.');
-        }
-        s
+        let mut buf = [0; MAX_WIRE_LEN];
+        let len = self.canonical_bytes(&mut buf);
+        buf.iter().take(len).map(|&b| char::from(b)).collect()
     }
 
     /// Streams the canonical presentation bytes into a hasher exactly as
@@ -193,58 +304,50 @@ impl Name {
     /// such as `DefaultHasher`; the selection logic in `cdn-sim` depends
     /// on it for output-identical address rotation.
     pub fn hash_canonical<H: std::hash::Hasher>(&self, state: &mut H) {
-        if self.labels.is_empty() {
-            state.write_u8(b'.');
-        } else {
-            for l in &self.labels {
-                for &b in l {
-                    state.write_u8(b.to_ascii_lowercase());
-                }
-                state.write_u8(b'.');
-            }
-        }
+        let mut buf = [0; MAX_WIRE_LEN];
+        let len = self.canonical_bytes(&mut buf);
+        state.write(buf.get(..len).unwrap_or(&[]));
         state.write_u8(0xff);
     }
 
     /// Encodes the name, emitting a compression pointer for the longest
-    /// suffix the writer has already seen. Compression state is keyed by
-    /// interned [`NameId`]s, so no suffix strings are built.
-    // detlint: allow-item(hot-index) — `suffix_chain` fills `chain[..n]`
-    // with `n == self.labels.len() <= MAX_LABELS`, and every index below
-    // is bounded by `skip < n` or `i < n`.
+    /// suffix the writer has already written, and recording where each
+    /// newly written suffix starts.
     pub fn encode(&self, w: &mut Writer) -> Result<(), WireError> {
-        let mut chain = [NameId::ROOT; MAX_LABELS];
-        let n = intern::suffix_chain(self, &mut chain);
+        let wire = self.wire();
         // Walk suffixes from the full name downward; at the first suffix
         // already present in the writer, emit a pointer and stop.
-        for skip in 0..n {
-            if let Some(off) = w.lookup_suffix(chain[skip]) {
-                // Emit the labels before the matched suffix, then a pointer.
-                for (i, label) in self.labels[..skip].iter().enumerate() {
-                    w.record_suffix(chain[i], w.len());
-                    w.write_u8(label.len() as u8);
-                    w.write_bytes(label);
-                }
-                w.write_u16(0xC000 | off);
-                return Ok(());
+        let mut tail = wire;
+        let mut pointer = None;
+        while let Some((&len, rest)) = tail.split_first() {
+            pointer = w.find_suffix(tail);
+            if pointer.is_some() {
+                break;
             }
+            tail = rest.get(usize::from(len)..).unwrap_or(&[]);
         }
-        // No suffix matched: emit every label then the root octet.
-        for (i, label) in self.labels.iter().enumerate() {
-            w.record_suffix(chain[i], w.len());
-            w.write_u8(label.len() as u8);
-            w.write_bytes(label);
+        // Emit the labels before the matched suffix (all of them when
+        // none matched), each of them the start of a new suffix.
+        let head = wire.get(..wire.len() - tail.len()).unwrap_or(&[]);
+        let at = w.len();
+        let mut pos = 0;
+        while let Some(&len) = head.get(pos) {
+            w.record_suffix(at + pos, wire.len() - pos);
+            pos += 1 + usize::from(len);
         }
-        w.write_u8(0);
+        w.write_bytes(head);
+        match pointer {
+            Some(off) => w.write_u16(0xC000 | off),
+            None => w.write_u8(0),
+        }
         Ok(())
     }
 
     /// Decodes a (possibly compressed) name, leaving the reader positioned
     /// just past the name's first occurrence in the stream.
     ///
-    /// The decoder enforces an explicit step budget so the work (and
-    /// allocation) one name can demand is bounded no matter what the
-    /// message contains:
+    /// The decoder enforces an explicit step budget so the work one name
+    /// can demand is bounded no matter what the message contains:
     ///
     /// * every compression pointer must point **strictly backwards** —
     ///   before the first byte of the pointer itself — which rules out
@@ -254,10 +357,10 @@ impl Name {
     ///   ping-pong chains built inside already-read bytes
     ///   ([`WireError::PointerChainTooDeep`]);
     /// * accumulated label octets are checked against the 255-octet name
-    ///   limit *as they are read*, so a hostile message can never make
-    ///   the decoder buffer more than [`MAX_NAME_LEN`] octets.
+    ///   limit *as they are read*, so the labels always fit the stack
+    ///   buffer they are copied into.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut labels: Vec<Vec<u8>> = Vec::new();
+        let mut wire = WireBuf::new();
         // Accumulated encoded length (length octet + label octets per
         // label, plus the closing root octet).
         let mut octets = 1usize;
@@ -277,8 +380,9 @@ impl Name {
                     if octets > MAX_NAME_LEN {
                         return Err(WireError::NameTooLong(octets));
                     }
-                    let bytes = cursor.read_bytes(len as usize, "name label")?;
-                    labels.push(bytes.to_vec());
+                    let bytes = cursor.read_bytes(usize::from(len), "name label")?;
+                    wire.push(&[len]);
+                    wire.push(bytes);
                     if !jumped {
                         *r = cursor.clone();
                     }
@@ -308,35 +412,32 @@ impl Name {
         if !jumped {
             *r = cursor;
         }
-        Name::from_labels(labels)
+        Ok(wire.name())
     }
 }
 
-fn eq_ignore_case(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.eq_ignore_ascii_case(y))
-}
-
 impl PartialEq for Name {
+    /// Label sequences equal but for ASCII letter case. Length octets
+    /// (at most 63) are never letters, so this is label-by-label
+    /// equality.
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(&other.labels)
-                .all(|(a, b)| eq_ignore_case(a, b))
+        self.wire().eq_ignore_ascii_case(other.wire())
     }
 }
 
 impl Eq for Name {}
 
 impl std::hash::Hash for Name {
+    /// Hashes the lowercased wire form and its root octet in one write,
+    /// consistent with the case-insensitive `Eq`.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
-            for &b in l {
-                state.write_u8(b.to_ascii_lowercase());
-            }
-            state.write_u8(b'.');
+        let wire = self.wire();
+        let mut buf = [0; MAX_NAME_LEN];
+        for (d, &b) in buf.iter_mut().zip(wire) {
+            *d = b.to_ascii_lowercase();
         }
+        // `buf[wire.len()]` is still 0: the root octet.
+        state.write(buf.get(..=wire.len()).unwrap_or(&[]));
     }
 }
 
@@ -350,43 +451,44 @@ impl Ord for Name {
     /// Canonical DNS ordering: compare label sequences right to left,
     /// case-insensitively (RFC 4034 §6.1 without the DNSSEC baggage).
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let mut a = self.labels.iter().rev();
-        let mut b = other.labels.iter().rev();
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return std::cmp::Ordering::Equal,
-                (None, Some(_)) => return std::cmp::Ordering::Less,
-                (Some(_), None) => return std::cmp::Ordering::Greater,
-                (Some(x), Some(y)) => {
-                    // Case-folded lexicographic label compare, in place.
-                    let ord = x
-                        .iter()
-                        .zip(y.iter())
-                        .map(|(a, b)| a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase()))
-                        .find(|o| o.is_ne())
-                        .unwrap_or_else(|| x.len().cmp(&y.len()));
-                    match ord {
-                        std::cmp::Ordering::Equal => continue,
-                        ord => return ord,
-                    }
-                }
+        let (a, b) = (self.wire(), other.wire());
+        let (mut sa, mut sb) = ([0; MAX_LABELS], [0; MAX_LABELS]);
+        let na = label_starts(a, &mut sa);
+        let nb = label_starts(b, &mut sb);
+        let ra = sa.iter().take(na).rev();
+        let rb = sb.iter().take(nb).rev();
+        for (&x, &y) in ra.zip(rb) {
+            let ord = label_at(a, x)
+                .iter()
+                .map(u8::to_ascii_lowercase)
+                .cmp(label_at(b, y).iter().map(u8::to_ascii_lowercase));
+            if ord.is_ne() {
+                return ord;
             }
         }
+        na.cmp(&nb)
     }
 }
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            return write!(f, ".");
+        use fmt::Write;
+        if self.is_root() {
+            return f.write_char('.');
         }
-        for l in &self.labels {
-            for &b in l {
-                write!(f, "{}", b as char)?;
+        for label in self.labels() {
+            for &b in label {
+                f.write_char(char::from(b))?;
             }
-            write!(f, ".")?;
+            f.write_char('.')?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Name({self})")
     }
 }
 
@@ -747,5 +849,68 @@ mod tests {
         assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
         assert_eq!(b.cmp(&c), std::cmp::Ordering::Less);
         assert_eq!(c.cmp(&d), std::cmp::Ordering::Less);
+    }
+
+    /// A mixed-case name whose wire form (root octet excluded) is
+    /// `wire_len` octets: labels of up to 63 octets ahead of
+    /// `Example.COM`.
+    fn long_name(wire_len: usize) -> Name {
+        let mut labels = Vec::new();
+        let mut left = wire_len - 12;
+        while left > 0 {
+            let n = left.min(64) - 1;
+            assert!(n > 0, "no label fits {left} octets");
+            labels.push(
+                (0..n)
+                    .map(|i| if i % 2 == 0 { 'Q' } else { 'z' })
+                    .collect::<String>(),
+            );
+            left -= n + 1;
+        }
+        labels.push("Example.COM".to_string());
+        Name::parse(&labels.join(".")).unwrap()
+    }
+
+    fn digest(name: &Name) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(name)
+    }
+
+    #[test]
+    fn names_across_the_inline_limit_round_trip_compare_and_hash() {
+        for (wire_len, inline) in [(45, true), (46, true), (47, false), (254, false)] {
+            let name = long_name(wire_len);
+            assert_eq!(name.encoded_len(), wire_len + 1);
+            assert_eq!(matches!(name.repr, Repr::Inline { .. }), inline);
+            let decoded = roundtrip(&name);
+            assert_eq!(decoded.to_string(), name.to_string(), "case survives");
+            let lower = Name::parse(&name.to_string().to_ascii_lowercase()).unwrap();
+            let rebuilt = name.parent().unwrap().child("qZqZ").unwrap();
+            for other in [&decoded, &lower] {
+                assert_eq!(*other, name);
+                assert_eq!(digest(other), digest(&name));
+                assert_eq!(other.cmp(&name), std::cmp::Ordering::Equal);
+                assert!(other.is_subdomain_of(&name) && name.is_subdomain_of(other));
+            }
+            assert_ne!(rebuilt, name);
+            assert_eq!(rebuilt.parent(), name.parent());
+        }
+    }
+
+    #[test]
+    fn parent_and_child_cross_the_inline_limit() {
+        let base = long_name(44);
+        let inline = base.child("x").unwrap();
+        let heap = base.child("xY").unwrap();
+        assert!(matches!(inline.repr, Repr::Inline { .. }));
+        assert!(matches!(heap.repr, Repr::Heap(_)));
+        assert_eq!(inline.parent().unwrap(), base);
+        assert_eq!(heap.parent().unwrap(), base);
+        assert_eq!(heap.child("w").unwrap().parent().unwrap(), heap);
+        assert!(heap.is_subdomain_of(&base) && !heap.is_subdomain_of(&inline));
+        assert_ne!(inline, heap);
+        assert_eq!(inline.cmp(&heap), std::cmp::Ordering::Less);
+        let longest = long_name(254);
+        assert_eq!(longest.child("a"), Err(WireError::NameTooLong(257)));
     }
 }

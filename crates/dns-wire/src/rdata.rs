@@ -121,6 +121,21 @@ impl RData {
         }
     }
 
+    /// Length of the encoded record data: exact, since record data is
+    /// never compressed.
+    pub(crate) fn wire_len(&self) -> usize {
+        match self {
+            RData::A(_) => 4,
+            RData::Aaaa(_) => 16,
+            RData::Cname(n) | RData::Ns(n) | RData::Ptr(n) => n.encoded_len(),
+            RData::Mx { exchange, .. } => 2 + exchange.encoded_len(),
+            RData::Txt(strings) => strings.iter().map(|s| 1 + s.len()).sum(),
+            RData::Soa { mname, rname, .. } => mname.encoded_len() + rname.encoded_len() + 20,
+            RData::Srv { target, .. } => 6 + target.encoded_len(),
+            RData::OptRaw(data) | RData::Unknown { data, .. } => data.len(),
+        }
+    }
+
     /// Encodes the record data (without the RDLENGTH prefix).
     pub fn encode(&self, w: &mut Writer) -> Result<(), WireError> {
         match self {
@@ -232,13 +247,10 @@ impl RData {
     }
 }
 
-/// Encodes a name label-by-label with no compression pointer (RDATA names
+/// Encodes a name in full, with no compression pointer (RDATA names
 /// must stay position-independent; see the type-level docs).
 fn encode_name_uncompressed(n: &Name, w: &mut Writer) {
-    for label in n.labels() {
-        w.write_u8(label.len() as u8);
-        w.write_bytes(label);
-    }
+    w.write_bytes(n.wire());
     w.write_u8(0);
 }
 

@@ -148,6 +148,12 @@ impl Record {
         self.rdata.rrtype()
     }
 
+    /// Length of the record encoded with an uncompressed owner name: an
+    /// upper bound on what [`Record::encode`] writes.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.name.encoded_len() + 10 + self.rdata.wire_len()
+    }
+
     /// Encodes name, type, class, TTL, RDLENGTH and RDATA.
     pub fn encode(&self, w: &mut Writer) -> Result<(), WireError> {
         self.name.encode(w)?;

@@ -6,11 +6,17 @@
 //! written so later names can emit compression pointers.
 
 use crate::error::WireError;
-use crate::intern::NameId;
-use std::collections::HashMap;
+use crate::name::MAX_POINTER_HOPS;
 
 /// Maximum encoded message size (16-bit length fields everywhere).
 pub const MAX_MESSAGE_LEN: usize = u16::MAX as usize;
+
+/// Largest offset a compression pointer can reach (14 bits).
+const MAX_POINTER_TARGET: usize = 0x3FFF;
+
+/// Suffix offsets a [`Writer`] keeps inline before it spills to the heap:
+/// a response's question and answers need a handful.
+const INLINE_SUFFIXES: usize = 24;
 
 /// A bounds-checked cursor over a received message.
 #[derive(Debug, Clone)]
@@ -84,25 +90,81 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Where a name suffix was written, and its uncompressed length.
+#[derive(Debug, Default, Clone, Copy)]
+struct Suffix {
+    offset: u16,
+    len: u8,
+}
+
+/// The suffixes a writer has recorded, in the order written. Offsets are
+/// recorded as the buffer grows and forgotten from the cut on when it is
+/// truncated, so the table is always sorted by offset.
+#[derive(Debug, Default)]
+struct Suffixes {
+    inline: [Suffix; INLINE_SUFFIXES],
+    inline_len: usize,
+    spill: Vec<Suffix>,
+}
+
+impl Suffixes {
+    fn iter(&self) -> impl Iterator<Item = &Suffix> {
+        self.inline
+            .iter()
+            .take(self.inline_len)
+            .chain(self.spill.iter())
+    }
+
+    fn push(&mut self, suffix: Suffix) {
+        match self.inline.get_mut(self.inline_len) {
+            Some(slot) if self.spill.is_empty() => {
+                *slot = suffix;
+                self.inline_len += 1;
+            }
+            _ => self.spill.push(suffix),
+        }
+    }
+
+    /// Forgets every suffix at or past `cut`.
+    fn truncate(&mut self, cut: usize) {
+        let before = |s: &Suffix| usize::from(s.offset) < cut;
+        self.spill.retain(before);
+        self.inline_len = self
+            .inline
+            .iter()
+            .take(self.inline_len)
+            .take_while(|s| before(s))
+            .count();
+    }
+}
+
 /// An appending encoder with name-compression state.
 ///
-/// The compression map records, for every name suffix already emitted, the
-/// offset of its first label. A later name whose suffix matches emits a
-/// two-byte pointer instead of repeating the labels — the behaviour real
-/// resolvers rely on to keep responses under the UDP payload limit.
+/// The compression table records, for every name suffix already
+/// emitted, the offset of its first label. A later name whose suffix
+/// matches emits a two-byte pointer instead of repeating the labels —
+/// the behaviour real resolvers rely on to keep responses under the UDP
+/// payload limit. Matching reads the names back from the buffer, so the
+/// table holds only an offset and a length per suffix.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
-    /// Interned suffix id → offset of its first label. Ids are
-    /// case-folded, so the map preserves the case-insensitive matching
-    /// the old string keys provided — without allocating them.
-    names: HashMap<NameId, u16>,
+    suffixes: Suffixes,
 }
 
 impl Writer {
     /// Creates an empty writer.
     pub fn new() -> Self {
         Writer::default()
+    }
+
+    /// Creates an empty writer whose buffer holds `capacity` bytes
+    /// before it grows.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+            suffixes: Suffixes::default(),
+        }
     }
 
     /// Bytes written so far.
@@ -161,19 +223,64 @@ impl Writer {
     /// payload budget.
     pub(crate) fn truncate(&mut self, len: usize) {
         self.buf.truncate(len);
-        self.names.retain(|_, &mut off| usize::from(off) < len);
+        self.suffixes.truncate(len);
     }
 
-    /// Looks up a previously written name suffix.
-    pub(crate) fn lookup_suffix(&self, key: NameId) -> Option<u16> {
-        self.names.get(&key).copied()
+    /// The offset of the first recorded suffix whose name equals the
+    /// label sequence `wire`, ignoring case.
+    pub(crate) fn find_suffix(&self, wire: &[u8]) -> Option<u16> {
+        self.suffixes
+            .iter()
+            .find(|s| usize::from(s.len) == wire.len() && self.name_at_is(s.offset, wire))
+            .map(|s| s.offset)
     }
 
-    /// Records that the suffix `key` starts at `offset`. Offsets beyond the
-    /// 14-bit pointer range are not recorded (pointers cannot reach them).
-    pub(crate) fn record_suffix(&mut self, key: NameId, offset: usize) {
-        if offset <= 0x3FFF {
-            self.names.entry(key).or_insert(offset as u16);
+    /// Records that a suffix of `len` uncompressed octets (root octet
+    /// excluded) starts at `offset`. Offsets beyond the 14-bit pointer
+    /// range are not recorded (pointers cannot reach them).
+    pub(crate) fn record_suffix(&mut self, offset: usize, len: usize) {
+        if offset <= MAX_POINTER_TARGET {
+            self.suffixes.push(Suffix {
+                offset: offset as u16,
+                len: len as u8,
+            });
+        }
+    }
+
+    /// True when the name written at `offset` equals the label sequence
+    /// `want`, ignoring case. The writer wrote that name itself, as
+    /// labels ending in the root octet or in a backward pointer; at most
+    /// [`MAX_POINTER_HOPS`] pointers are followed.
+    fn name_at_is(&self, offset: u16, mut want: &[u8]) -> bool {
+        let mut pos = usize::from(offset);
+        let mut hops = 0;
+        loop {
+            let Some(&len) = self.buf.get(pos) else {
+                return false;
+            };
+            if len == 0 {
+                return want.is_empty();
+            }
+            if len & 0xC0 == 0xC0 {
+                let Some(&lo) = self.buf.get(pos + 1) else {
+                    return false;
+                };
+                let target = usize::from(len & 0x3F) << 8 | usize::from(lo);
+                hops += 1;
+                if target >= pos || hops > MAX_POINTER_HOPS {
+                    return false;
+                }
+                pos = target;
+                continue;
+            }
+            let end = pos + 1 + usize::from(len);
+            match (self.buf.get(pos..end), want.split_at_checked(end - pos)) {
+                (Some(have), Some((head, rest))) if have.eq_ignore_ascii_case(head) => {
+                    want = rest;
+                    pos = end;
+                }
+                _ => return false,
+            }
         }
     }
 }
@@ -229,11 +336,63 @@ mod tests {
 
     #[test]
     fn suffix_offsets_beyond_pointer_range_are_ignored() {
-        let key = crate::Name::parse("a.example").unwrap().id();
+        let name = crate::Name::parse("a.example").unwrap();
+        let (whole, parent) = (
+            &[1, b'a', 7, b'e', b'x', b'a', b'm', b'p', b'l', b'e'],
+            &[7, b'e', b'x', b'a', b'm', b'p', b'l', b'e'],
+        );
         let mut w = Writer::new();
-        w.record_suffix(key, 0x4000);
-        assert_eq!(w.lookup_suffix(key), None);
-        w.record_suffix(key, 0x3FFF);
-        assert_eq!(w.lookup_suffix(key), Some(0x3FFF));
+        w.write_bytes(&[0; MAX_POINTER_TARGET]);
+        name.encode(&mut w).unwrap();
+        // "a.example" starts at the last reachable offset; its parent
+        // starts past it and was not recorded.
+        assert_eq!(w.find_suffix(whole), Some(0x3FFF));
+        assert_eq!(w.find_suffix(parent), None);
+        w.record_suffix(0x4000, parent.len());
+        assert_eq!(w.find_suffix(parent), None);
+    }
+
+    #[test]
+    fn truncate_forgets_suffixes_at_or_past_the_cut() {
+        let mut w = Writer::new();
+        crate::Name::parse("a.example")
+            .unwrap()
+            .encode(&mut w)
+            .unwrap();
+        let cut = w.len();
+        crate::Name::parse("b.test")
+            .unwrap()
+            .encode(&mut w)
+            .unwrap();
+        let b_test = [1, b'b', 4, b't', b'e', b's', b't'];
+        assert_eq!(w.find_suffix(&b_test), Some(cut as u16));
+        w.truncate(cut);
+        assert_eq!(w.find_suffix(&b_test), None);
+        assert_eq!(
+            w.find_suffix(&[7, b'E', b'x', b'a', b'm', b'p', b'l', b'e']),
+            Some(2)
+        );
+    }
+
+    #[test]
+    fn suffixes_spill_past_the_inline_table_in_order() {
+        let mut w = Writer::new();
+        let names: Vec<crate::Name> = (0..2 * INLINE_SUFFIXES)
+            .map(|i| crate::Name::parse(&format!("n{i}")).unwrap())
+            .collect();
+        let mut at = Vec::new();
+        for n in &names {
+            at.push(w.len() as u16);
+            n.encode(&mut w).unwrap();
+        }
+        for (n, &off) in names.iter().zip(&at) {
+            let mut one = Writer::new();
+            n.encode(&mut one).unwrap();
+            let mut wire = one.finish().unwrap();
+            wire.pop();
+            assert_eq!(w.find_suffix(&wire), Some(off));
+        }
+        w.truncate(usize::from(at[3]));
+        assert_eq!(w.suffixes.iter().count(), 3);
     }
 }

@@ -21,11 +21,11 @@ pub struct WallClock {
 impl WallClock {
     /// Anchors the clock at the current instant.
     pub fn start() -> Self {
-        // detlint: allow(wall-clock) — this is the transport edge: real
-        // sockets need real time for TTLs and latency measurement. The
-        // read is confined to this constructor; everything downstream
-        // sees only SimTime.
         WallClock {
+            // detlint: allow(wall-clock) — this is the transport edge: real
+            // sockets need real time for TTLs and latency measurement. The
+            // read is confined to this constructor; everything downstream
+            // sees only SimTime.
             anchor: Instant::now(),
         }
     }
