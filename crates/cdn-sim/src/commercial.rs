@@ -16,7 +16,7 @@
 //! percentages map onto.
 
 use dns_server::{Plugin, PluginDecision, QueryCtx};
-use dns_wire::{Message, Name, NameId, RData, Rcode, Record, RrClass, RrType};
+use dns_wire::{Message, Name, RData, Rcode, Record, RrClass, RrType};
 use netsim::Cidr;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -79,14 +79,14 @@ impl WeightedState {
 
 /// The commercial C-DNS: per-(domain, resolver) weighted pool rotation.
 pub struct MultiCdnRouter {
-    /// (interned domain, resolver addr) → weighted pools. Ordered map:
-    /// `classify` walks it, and the most-specific-pool tie-break must
-    /// not depend on hash order.
-    per_resolver: BTreeMap<(NameId, IpAddr), WeightedState>,
-    /// Interned domain → default pools (resolvers with no override).
-    defaults: BTreeMap<NameId, Vec<PoolChoice>>,
-    /// Instantiated default states per (domain, resolver).
-    instantiated: BTreeMap<(NameId, IpAddr), WeightedState>,
+    /// Domain → resolver addr → weighted pools. Ordered maps: `classify`
+    /// walks a domain's resolvers, and the most-specific-pool tie-break
+    /// must not depend on hash order.
+    per_resolver: BTreeMap<Name, BTreeMap<IpAddr, WeightedState>>,
+    /// Domain → default pools (resolvers with no override).
+    defaults: BTreeMap<Name, Vec<PoolChoice>>,
+    /// Instantiated default states per domain and resolver.
+    instantiated: BTreeMap<Name, BTreeMap<IpAddr, WeightedState>>,
     /// Answer TTL. Commercial CDN A records are short-lived.
     pub ttl: u32,
     counter: u64,
@@ -109,24 +109,26 @@ impl MultiCdnRouter {
     pub fn set_policy(&mut self, domain: &Name, resolver: IpAddr, pools: Vec<PoolChoice>) {
         assert!(!pools.is_empty(), "policy needs at least one pool");
         self.per_resolver
-            .insert((domain.id(), resolver), WeightedState::new(pools));
+            .entry(domain.clone())
+            .or_default()
+            .insert(resolver, WeightedState::new(pools));
     }
 
     /// Sets the default pools for `domain` (any other resolver).
     pub fn set_default(&mut self, domain: &Name, pools: Vec<PoolChoice>) {
         assert!(!pools.is_empty(), "policy needs at least one pool");
-        self.defaults.insert(domain.id(), pools);
+        self.defaults.insert(domain.clone(), pools);
     }
 
     /// Classifies an answer address into its provider pool, if known.
     pub fn classify(&self, domain: &Name, addr: Ipv4Addr) -> Option<(&'static str, Cidr)> {
-        let key = domain.id();
         let all = self
             .per_resolver
-            .iter()
-            .filter(|((d, _), _)| *d == key)
-            .flat_map(|(_, s)| s.choices.iter())
-            .chain(self.defaults.get(&key).into_iter().flatten());
+            .get(domain)
+            .into_iter()
+            .flat_map(BTreeMap::values)
+            .flat_map(|s| s.choices.iter())
+            .chain(self.defaults.get(domain).into_iter().flatten());
         // Most specific matching pool wins (Akamai /24 inside the /8).
         all.filter(|c| c.pool.contains(IpAddr::V4(addr)))
             .max_by_key(|c| c.pool.prefix_len())
@@ -149,33 +151,29 @@ impl Plugin for MultiCdnRouter {
         let Some(q) = query.question() else {
             return PluginDecision::Continue;
         };
-        // A name nobody configured was never interned: alloc-free reject.
-        let Some(qid) = q.qname.lookup_id() else {
-            return PluginDecision::Continue;
-        };
-        let key = (qid, ctx.client);
-        // Single lookup: a specific per-resolver policy wins; otherwise
-        // lazily instantiate the domain default for this resolver. The
-        // picked choice is copied out so neither map borrow outlives the
-        // match (`Cidr` is `Copy`, the provider is `&'static`).
-        let (provider, pool) = match self.per_resolver.get_mut(&key) {
-            Some(state) => {
-                let idx = state.pick();
-                (state.choices[idx].provider, state.choices[idx].pool)
-            }
+        // A specific per-resolver policy wins; otherwise lazily
+        // instantiate the domain default for this resolver.
+        let specific = self
+            .per_resolver
+            .get_mut(&q.qname)
+            .and_then(|states| states.get_mut(&ctx.client));
+        let state = match specific {
+            Some(state) => state,
             None => {
-                let Some(defaults) = self.defaults.get(&key.0) else {
+                let Some(defaults) = self.defaults.get(&q.qname) else {
                     return PluginDecision::Continue;
                 };
-                let defaults = defaults.clone();
-                let state = self
-                    .instantiated
-                    .entry(key)
-                    .or_insert_with(|| WeightedState::new(defaults));
-                let idx = state.pick();
-                (state.choices[idx].provider, state.choices[idx].pool)
+                self.instantiated
+                    .entry(q.qname.clone())
+                    .or_default()
+                    .entry(ctx.client)
+                    .or_insert_with(|| WeightedState::new(defaults.clone()))
             }
         };
+        // Copied out, so the map borrow ends here (`Cidr` is `Copy`, the
+        // provider is `&'static`).
+        let idx = state.pick();
+        let (provider, pool) = (state.choices[idx].provider, state.choices[idx].pool);
         ctx.telemetry.incr("cdns.multi.answer");
         ctx.telemetry.mark(
             u64::from(query.header.id),

@@ -163,7 +163,6 @@ pub const OUTPUT_AFFECTING_CRATES: &[&str] = &[
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/dns-wire/src/wire.rs",
     "crates/dns-wire/src/name.rs",
-    "crates/dns-wire/src/intern.rs",
     "crates/dns-wire/src/message.rs",
     "crates/dns-wire/src/header.rs",
     "crates/dns-wire/src/record.rs",
@@ -200,10 +199,9 @@ pub const HOT_PATH_FILES: &[&str] = &[
 pub const HOT_ALLOC_ROOTS: &[(&str, &str)] = &[
     // The cached-hit lookup: probe, TTL check, LRU bump, shared answer.
     ("crates/dns-server/src/cache.rs", "get_shared"),
-    // Alloc-free intern probes and id-space name algebra.
-    ("crates/dns-wire/src/intern.rs", "lookup"),
-    ("crates/dns-wire/src/intern.rs", "parent"),
-    ("crates/dns-wire/src/intern.rs", "is_subdomain_of"),
+    // Suffix matching on a name's wire form: every zone, stub-domain
+    // and router namespace check runs it per query.
+    ("crates/dns-wire/src/name.rs", "is_subdomain_of"),
 ];
 
 /// The workspace policy: which rules apply to a file, by its
@@ -293,7 +291,7 @@ mod tests {
             "crates/mecdnsd/src/serve.rs",
             "crates/mec-cdn/src/runner.rs",
             "crates/dns-fuzz/src/runner.rs",
-            "crates/dns-wire/src/intern.rs",
+            "crates/dns-wire/src/name.rs",
             "crates/detlint/src/engine.rs",
         ] {
             let rules = rules_for_path(f);

@@ -142,7 +142,7 @@ fn main() -> ExitCode {
             let class = c.outcome.class();
             let small = minimize::minimize(
                 &c.input,
-                |bytes| oracle::check(bytes, true).class() == class,
+                |bytes| oracle::check(bytes).class() == class,
                 4096,
             );
             let path = format!("{dir}/case-{:08}-{class}.bin", c.case_idx);

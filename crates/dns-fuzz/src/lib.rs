@@ -19,8 +19,7 @@
 //! * **oracle** ([`oracle`]): every input must either decode or fail
 //!   with a typed [`dns_wire::WireError`] — never a panic. Every
 //!   successful decode must re-encode, re-decode to a structurally
-//!   identical message, re-encode byte-identically, and keep `Name`
-//!   id-space equality in agreement with string-space equality.
+//!   identical message and re-encode byte-identically.
 //!
 //! Determinism is the contract that makes failures actionable: case
 //! `i` of a campaign depends only on `(root_seed, i)` via the same

@@ -6,11 +6,10 @@
 //! count-clamped preallocation make decode work linear in input size,
 //! so termination is structural, not timed). For every accepted input
 //! the pipeline decode → encode → decode must be idempotent and the
-//! second encode byte-stable, and `Name` id-space equality must agree
-//! with structural equality.
+//! second encode byte-stable.
 
 use crate::rng::splitmix64;
-use dns_wire::{Message, Name, WireError};
+use dns_wire::{Message, WireError};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
@@ -21,8 +20,8 @@ use std::sync::Once;
 /// everything else is a crasher the campaign reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
-    /// Full pipeline passed: decode, re-encode, re-decode, stability
-    /// and (when sampled) id-space agreement.
+    /// Full pipeline passed: decode, re-encode, re-decode and
+    /// stability.
     Accepted,
     /// Decode failed with the named typed `WireError` variant — the
     /// correct way to refuse hostile bytes.
@@ -37,8 +36,6 @@ pub enum Outcome {
     NonIdempotent,
     /// Two encodes of the same message differ — unstable compression.
     EncodeUnstable,
-    /// `Name` id-space equality disagreed with structural equality.
-    IdSpaceMismatch,
 }
 
 impl Outcome {
@@ -58,7 +55,6 @@ impl Outcome {
             Outcome::RedecodeErr(_) => "redecode-err",
             Outcome::NonIdempotent => "non-idempotent",
             Outcome::EncodeUnstable => "encode-unstable",
-            Outcome::IdSpaceMismatch => "id-space-mismatch",
         }
     }
 
@@ -115,16 +111,10 @@ fn quiet_panics() {
 }
 
 /// Runs one input through the full differential pipeline.
-///
-/// `check_id_space` additionally verifies id-space vs structural name
-/// equality; campaigns sample it (interning is process-permanent, so
-/// doing it on every hostile input would grow the table unboundedly).
-pub fn check(input: &[u8], check_id_space: bool) -> Outcome {
+pub fn check(input: &[u8]) -> Outcome {
     quiet_panics();
     let stage = Cell::new("decode");
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        run_pipeline(input, check_id_space, &stage)
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| run_pipeline(input, &stage)));
     match result {
         Ok(outcome) => outcome,
         Err(payload) => {
@@ -138,7 +128,7 @@ pub fn check(input: &[u8], check_id_space: bool) -> Outcome {
     }
 }
 
-fn run_pipeline(input: &[u8], check_id_space: bool, stage: &Cell<&'static str>) -> Outcome {
+fn run_pipeline(input: &[u8], stage: &Cell<&'static str>) -> Outcome {
     let m1 = match Message::decode(input) {
         Ok(m) => m,
         Err(e) => return Outcome::DecodeErr(variant_name(&e)),
@@ -164,59 +154,7 @@ fn run_pipeline(input: &[u8], check_id_space: bool, stage: &Cell<&'static str>) 
     if b2 != b1 {
         return Outcome::EncodeUnstable;
     }
-    if check_id_space {
-        stage.set("id-space");
-        if !id_space_agrees(&m1) {
-            return Outcome::IdSpaceMismatch;
-        }
-    }
     Outcome::Accepted
-}
-
-/// Collects up to `cap` names from a message, walking every place a
-/// name can live (questions, record owners, name-bearing rdata).
-fn collect_names<'m>(m: &'m Message, cap: usize) -> Vec<&'m Name> {
-    let mut names: Vec<&'m Name> = Vec::new();
-    let push = |n: &mut Vec<&'m Name>, name: &'m Name| {
-        if n.len() < cap {
-            n.push(name);
-        }
-    };
-    for q in &m.questions {
-        push(&mut names, &q.qname);
-    }
-    for rec in m.answers.iter().chain(&m.authorities).chain(&m.additionals) {
-        push(&mut names, &rec.name);
-        use dns_wire::RData::*;
-        match &rec.rdata {
-            Cname(n) | Ns(n) | Ptr(n) => push(&mut names, n),
-            Mx { exchange, .. } => push(&mut names, exchange),
-            Srv { target, .. } => push(&mut names, target),
-            Soa { mname, rname, .. } => {
-                push(&mut names, mname);
-                push(&mut names, rname);
-            }
-            _ => {}
-        }
-    }
-    names
-}
-
-/// Pairwise check that interned-id equality matches structural `Name`
-/// equality for every name in the message.
-fn id_space_agrees(m: &Message) -> bool {
-    let names = collect_names(m, 8);
-    for &a in &names {
-        for &b in &names {
-            if (a.id() == b.id()) != (a == b) {
-                return false;
-            }
-            if a.id().is_subdomain_of(b.id()) != a.is_subdomain_of(b) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -226,13 +164,13 @@ mod tests {
     #[test]
     fn valid_seeds_are_accepted_with_id_check() {
         for s in crate::corpus::build_seeds() {
-            assert_eq!(check(&s, true), Outcome::Accepted);
+            assert_eq!(check(&s), Outcome::Accepted);
         }
     }
 
     #[test]
     fn garbage_is_refused_with_typed_errors() {
-        let out = check(&[0xFF; 7], false);
+        let out = check(&[0xFF; 7]);
         assert!(matches!(out, Outcome::DecodeErr(_)), "got {out:?}");
         assert!(!out.is_crash());
     }
@@ -266,6 +204,6 @@ mod tests {
 
     #[test]
     fn empty_input_is_a_clean_truncation() {
-        assert_eq!(check(&[], false), Outcome::DecodeErr("Truncated"));
+        assert_eq!(check(&[]), Outcome::DecodeErr("Truncated"));
     }
 }

@@ -29,10 +29,6 @@ pub struct Config {
     pub cases: u64,
     /// Worker threads. `0` means one per available CPU.
     pub threads: usize,
-    /// Run the id-space oracle on every Nth case. Interning is
-    /// process-permanent, so sampling bounds table growth; `1` checks
-    /// every case, `0` disables the check entirely.
-    pub id_space_every: u64,
 }
 
 impl Default for Config {
@@ -41,7 +37,6 @@ impl Default for Config {
             root_seed: 0x0D50_00D0_E50F_F1CE, // arbitrary, stable default
             cases: 1_000_000,
             threads: 1,
-            id_space_every: 64,
         }
     }
 }
@@ -60,8 +55,7 @@ pub fn generate(rng: &mut FuzzRng, corpus: &[Vec<u8>]) -> Vec<u8> {
 pub fn run_case(cfg: &Config, corpus: &[Vec<u8>], idx: u64) -> (Vec<u8>, Outcome) {
     let mut rng = FuzzRng::new(derive_seed(cfg.root_seed, idx));
     let input = generate(&mut rng, corpus);
-    let check_ids = cfg.id_space_every != 0 && idx.is_multiple_of(cfg.id_space_every);
-    let outcome = oracle::check(&input, check_ids);
+    let outcome = oracle::check(&input);
     (input, outcome)
 }
 

@@ -28,7 +28,6 @@ fn quick_campaign_finds_no_crashers() {
         root_seed: SMOKE_SEED,
         cases: quick_cases(),
         threads: 0, // all CPUs; crasher set must not depend on this
-        ..Config::default()
     };
     let summary = runner::run(&cfg);
     assert_eq!(summary.cases, quick_cases());
@@ -50,7 +49,6 @@ fn quick_campaign_is_byte_identical_across_thread_counts() {
         root_seed: SMOKE_SEED,
         cases: quick_cases() / 4,
         threads: 1,
-        ..Config::default()
     };
     let serial = runner::run(&base).render();
     for threads in [2, 8] {

@@ -33,7 +33,7 @@ fn non_utf8_txt_round_trips_byte_exactly() {
     // byte, 0xFF, truncated multibyte head).
     m.extend_from_slice(&5u16.to_be_bytes());
     m.extend_from_slice(&[4, 0x80, 0xFF, 0xC3, 0x00]);
-    assert_eq!(check(&m, true), Outcome::Accepted);
+    assert_eq!(check(&m), Outcome::Accepted);
 }
 
 /// A compression-pointer chain of legal strictly-backward hops that
@@ -64,7 +64,7 @@ fn deep_pointer_chain_is_refused_not_walked() {
     m.push(0xC0 | (prev >> 8) as u8); // question 2: qname = chain tail
     m.push(prev as u8);
     m.extend_from_slice(&[0, 1, 0, 1]);
-    let out = check(&m, false);
+    let out = check(&m);
     assert_eq!(out, Outcome::DecodeErr("PointerChainTooDeep"));
     assert!(!out.is_crash());
 }
@@ -76,7 +76,7 @@ fn self_pointing_qname_is_a_typed_error() {
     let mut m = header(1, 0, 0, 0);
     m.extend_from_slice(&[0xC0, 0x0C]); // points at itself (offset 12)
     m.extend_from_slice(&[0, 1, 0, 1]);
-    assert_eq!(check(&m, false), Outcome::DecodeErr("BadPointer"));
+    assert_eq!(check(&m), Outcome::DecodeErr("BadPointer"));
 }
 
 /// Section counts the body cannot satisfy must fail with CountMismatch
@@ -87,14 +87,12 @@ fn self_pointing_qname_is_a_typed_error() {
 fn lying_counts_fail_with_count_mismatch() {
     let mut m = header(0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF);
     m.push(0x00); // one root byte of "body"
-    assert_eq!(check(&m, false), Outcome::DecodeErr("CountMismatch"));
+    assert_eq!(check(&m), Outcome::DecodeErr("CountMismatch"));
 }
 
-/// A label containing a literal dot must intern to a different NameId
-/// than the same bytes split into two labels: identity is label
-/// *structure*, not the joined dotted string. The intern table used to
-/// key on the dotted rendering, so `["a.b"]` and `["a","b"]` collided
-/// — an IdSpaceMismatch crasher under the oracle.
+/// A label containing a literal dot keeps its own identity: `["a.b"]`
+/// and `["a","b"]` print alike but are different names. An identity
+/// keyed on the dotted rendering once made them collide.
 #[test]
 fn dot_inside_a_label_keeps_its_own_identity() {
     // Two questions: qname1 = one label "a.b", qname2 = labels "a","b".
@@ -103,7 +101,9 @@ fn dot_inside_a_label_keeps_its_own_identity() {
     m.extend_from_slice(&[0, 1, 0, 1]);
     m.extend_from_slice(&[1, b'a', 1, b'b', 0]);
     m.extend_from_slice(&[0, 1, 0, 1]);
-    assert_eq!(check(&m, true), Outcome::Accepted);
+    assert_eq!(check(&m), Outcome::Accepted);
+    let decoded = dns_wire::Message::decode(&m).unwrap();
+    assert_ne!(decoded.questions[0].qname, decoded.questions[1].qname);
 }
 
 /// ECS with more address octets than the source prefix implies must be
@@ -122,7 +122,7 @@ fn ecs_address_wider_than_prefix_is_refused() {
     m.extend_from_slice(&8u16.to_be_bytes()); // option code ECS
     m.extend_from_slice(&6u16.to_be_bytes()); // option len
     m.extend_from_slice(&[0, 1, 8, 0, 10, 45]);
-    assert_eq!(check(&m, false), Outcome::DecodeErr("BadClientSubnet"));
+    assert_eq!(check(&m), Outcome::DecodeErr("BadClientSubnet"));
 }
 
 /// An OPT option whose claimed length overruns its rdata must be a
@@ -139,16 +139,15 @@ fn opt_option_length_overflow_is_typed() {
     m.extend_from_slice(&8u16.to_be_bytes()); // option code
     m.extend_from_slice(&0x0A_u16.to_be_bytes()); // claims 10, has 2
     m.extend_from_slice(&[1, 2]);
-    assert_eq!(check(&m, false), Outcome::DecodeErr("Truncated"));
+    assert_eq!(check(&m), Outcome::DecodeErr("Truncated"));
 }
 
-/// Every committed corpus seed must pass the full oracle, id-space
-/// check included — the corpus is the fuzzer's definition of "known
-/// good".
+/// Every committed corpus seed must pass the full oracle — the corpus
+/// is the fuzzer's definition of "known good".
 #[test]
 fn committed_seeds_pass_the_full_oracle() {
     for (i, seed) in dns_fuzz::corpus::seeds().iter().enumerate() {
-        assert_eq!(check(seed, true), Outcome::Accepted, "seed {i}");
+        assert_eq!(check(seed), Outcome::Accepted, "seed {i}");
     }
 }
 
@@ -168,7 +167,7 @@ fn pinned_crashers_stay_fixed() {
     paths.sort();
     for p in paths {
         let bytes = std::fs::read(&p).expect("readable fixture");
-        let out = check(&bytes, true);
+        let out = check(&bytes);
         assert!(!out.is_crash(), "{} crashes again: {out:?}", p.display());
     }
 }

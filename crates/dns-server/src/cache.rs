@@ -505,7 +505,7 @@ impl DnsCache {
     }
 }
 
-/// The pre-interning cache: `String` keys, full-map expired purge and an
+/// The first cache design: `String` keys, full-map expired purge and an
 /// O(n) LRU victim scan. Kept only as the behavioural reference for the
 /// equivalence tests.
 #[cfg(test)]

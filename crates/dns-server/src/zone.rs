@@ -1,6 +1,6 @@
 //! Authoritative zone data and lookup semantics.
 
-use dns_wire::{Name, NameId, RData, Record, RrClass, RrType};
+use dns_wire::{Name, RData, Record, RrClass, RrType};
 use std::collections::HashMap;
 
 /// The result of an authoritative lookup.
@@ -33,17 +33,13 @@ pub enum LookupResult {
 #[derive(Debug, Clone)]
 pub struct Zone {
     apex: Name,
-    apex_id: NameId,
-    /// Owner names are interned: the store is keyed and walked by
-    /// [`NameId`], so lookups never build `canonical()` strings.
-    records: HashMap<NameId, Vec<Record>>,
+    records: HashMap<Name, Vec<Record>>,
 }
 
 impl Zone {
     /// An empty zone rooted at `apex`.
     pub fn new(apex: Name) -> Self {
         Zone {
-            apex_id: apex.id(),
             apex,
             records: HashMap::new(),
         }
@@ -67,7 +63,7 @@ impl Zone {
             self.apex
         );
         self.records
-            .entry(record.name.id())
+            .entry(record.name.clone())
             .or_default()
             .push(record);
         self
@@ -131,7 +127,7 @@ impl Zone {
         // Glue may live outside the zone cut; store it regardless (it is
         // served in the additional section of referrals only).
         self.records
-            .entry(ns_name.id())
+            .entry(ns_name.clone())
             .or_default()
             .push(Record::new(ns_name, RrClass::In, ttl, RData::A(ns_addr)));
         self
@@ -148,103 +144,74 @@ impl Zone {
     }
 
     /// Looks up `qname`/`qtype`.
-    // detlint: allow-item(hot-index) — `cuts` is a MAX_LABELS-sized
-    // stack array and `ncuts` counts parent-chain steps of a name, which
-    // the wire format caps at MAX_LABELS; the slice below reads `..ncuts`.
     pub fn lookup(&self, qname: &Name, qtype: RrType) -> LookupResult {
-        let qid = qname.id();
-        if !qid.is_subdomain_of(self.apex_id) {
+        if !qname.is_subdomain_of(&self.apex) {
             return LookupResult::NotAuthoritative;
         }
-        // Delegation check: walk from the apex child toward qname; the
-        // first NS cut strictly between apex and qname wins (unless the
-        // query is for the cut's NS records themselves at the apex). The
-        // walk happens in id space: the suffix chain is a stack array of
-        // `u32`s, not a Vec of cloned `Name`s.
-        let mut cuts = [NameId::ROOT; dns_wire::name::MAX_LABELS];
-        let mut ncuts = 0;
-        let mut cut = qid;
-        while cut != self.apex_id && cut != NameId::ROOT {
-            cuts[ncuts] = cut;
-            ncuts += 1;
-            match cut.parent() {
-                Some(p) => cut = p,
-                None => break,
-            }
-        }
-        for &candidate in cuts[..ncuts].iter().rev() {
-            // apex-side first
-            if candidate == qid && qtype == RrType::Ns {
-                break; // asking for the delegation itself: answer below
-            }
-            if let Some(recs) = self.records.get(&candidate) {
-                let ns: Vec<Record> = recs
-                    .iter()
-                    .filter(|r| r.rrtype() == RrType::Ns)
-                    .cloned()
-                    .collect();
-                if !ns.is_empty() && candidate != self.apex_id {
-                    let mut glue = Vec::new();
-                    for n in &ns {
-                        if let RData::Ns(target) = &n.rdata {
-                            if let Some(g) = target.lookup_id().and_then(|t| self.records.get(&t)) {
-                                glue.extend(g.iter().filter(|r| r.rrtype() == RrType::A).cloned());
-                            }
-                        }
-                    }
-                    return LookupResult::Referral { ns, glue };
-                }
-            }
+        // Delegation check: of the NS cuts strictly below the apex, the
+        // one closest to it wins. qname itself is no cut when the query
+        // asks for its NS records: those are answered below.
+        let cut = std::iter::successors(Some(qname.clone()), Name::parent)
+            .take_while(|name| *name != self.apex)
+            .skip(usize::from(qtype == RrType::Ns))
+            .filter_map(|name| self.records.get(&name))
+            .filter(|recs| recs.iter().any(|r| r.rrtype() == RrType::Ns))
+            .last();
+        if let Some(recs) = cut {
+            let ns: Vec<Record> = recs
+                .iter()
+                .filter(|r| r.rrtype() == RrType::Ns)
+                .cloned()
+                .collect();
+            let glue = ns
+                .iter()
+                .filter_map(|r| match &r.rdata {
+                    RData::Ns(target) => self.records.get(target),
+                    _ => None,
+                })
+                .flatten()
+                .filter(|r| r.rrtype() == RrType::A)
+                .cloned()
+                .collect();
+            return LookupResult::Referral { ns, glue };
         }
         // Exact-name lookup with in-zone CNAME chasing.
         let mut answers: Vec<Record> = Vec::new();
-        let mut current = qid;
+        let mut current = qname;
         for _ in 0..8 {
-            match self.records.get(&current) {
-                Some(recs) => {
-                    let typed: Vec<Record> = recs
-                        .iter()
-                        .filter(|r| r.rrtype() == qtype)
-                        .cloned()
-                        .collect();
-                    if !typed.is_empty() {
-                        answers.extend(typed);
-                        return LookupResult::Answer(answers);
-                    }
-                    let cname = recs.iter().find(|r| r.rrtype() == RrType::Cname);
-                    match (cname, qtype) {
-                        (Some(c), t) if t != RrType::Cname => {
-                            answers.push(c.clone());
-                            if let RData::Cname(target) = &c.rdata {
-                                if target.is_subdomain_of(&self.apex) {
-                                    if let Some(t) = target.lookup_id() {
-                                        current = t;
-                                        continue;
-                                    }
-                                    // In-zone target nobody ever stored:
-                                    // surface the chain collected so far.
-                                    return LookupResult::Answer(answers);
-                                }
-                            }
-                            // Chain leaves the zone: surface what we have.
-                            return LookupResult::Answer(answers);
+            let Some(recs) = self.records.get(current) else {
+                return if !answers.is_empty() {
+                    LookupResult::Answer(answers)
+                } else if self.name_exists(current) {
+                    LookupResult::NoData
+                } else {
+                    LookupResult::NxDomain
+                };
+            };
+            let typed: Vec<Record> = recs
+                .iter()
+                .filter(|r| r.rrtype() == qtype)
+                .cloned()
+                .collect();
+            if !typed.is_empty() {
+                answers.extend(typed);
+                return LookupResult::Answer(answers);
+            }
+            let cname = recs.iter().find(|r| r.rrtype() == RrType::Cname);
+            match (cname, qtype) {
+                (Some(c), t) if t != RrType::Cname => {
+                    answers.push(c.clone());
+                    match &c.rdata {
+                        RData::Cname(target) if target.is_subdomain_of(&self.apex) => {
+                            current = target;
                         }
-                        _ => {
-                            return if answers.is_empty() {
-                                LookupResult::NoData
-                            } else {
-                                LookupResult::Answer(answers)
-                            };
-                        }
+                        // Chain leaves the zone: surface what we have.
+                        _ => return LookupResult::Answer(answers),
                     }
                 }
-                None => {
+                _ => {
                     return if answers.is_empty() {
-                        if self.name_exists(current) {
-                            LookupResult::NoData
-                        } else {
-                            LookupResult::NxDomain
-                        }
+                        LookupResult::NoData
                     } else {
                         LookupResult::Answer(answers)
                     };
@@ -257,8 +224,8 @@ impl Zone {
 
     /// "Empty non-terminal" check: a name exists if any record owner is
     /// at or below it.
-    fn name_exists(&self, name: NameId) -> bool {
-        self.records.keys().any(|&n| n.is_subdomain_of(name))
+    fn name_exists(&self, name: &Name) -> bool {
+        self.records.keys().any(|n| n.is_subdomain_of(name))
     }
 }
 
@@ -396,6 +363,85 @@ mod tests {
         match z.lookup(&n("ciab.test"), RrType::Ns) {
             LookupResult::Answer(recs) => assert_eq!(recs[0].rrtype(), RrType::Ns),
             other => panic!("expected answer, got {other:?}"),
+        }
+    }
+
+    /// Zone `test` delegating both `ciab.test` and `mycdn.ciab.test`.
+    fn nested_cuts() -> Zone {
+        let mut z = Zone::new(n("test"));
+        z.delegate(
+            n("ciab.test"),
+            n("ns1.ciab.test"),
+            Ipv4Addr::new(10, 0, 0, 2),
+            3600,
+        )
+        .delegate(
+            n("mycdn.ciab.test"),
+            n("ns1.mycdn.ciab.test"),
+            Ipv4Addr::new(10, 0, 0, 3),
+            3600,
+        );
+        z
+    }
+
+    fn referral_target(result: LookupResult) -> Name {
+        match result {
+            LookupResult::Referral { ns, .. } => ns[0].name.clone(),
+            other => panic!("expected referral, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_cut_closest_to_the_apex_wins() {
+        let z = nested_cuts();
+        for qtype in [RrType::A, RrType::Ns] {
+            let below = z.lookup(&n("video.demo1.mycdn.ciab.test"), qtype);
+            assert_eq!(referral_target(below), n("ciab.test"), "{qtype:?}");
+        }
+        // An NS query for the inner cut is still below the outer one.
+        let inner = z.lookup(&n("mycdn.ciab.test"), RrType::Ns);
+        assert_eq!(referral_target(inner), n("ciab.test"));
+    }
+
+    #[test]
+    fn cname_to_an_empty_in_zone_target_is_answered_alone() {
+        let mut z = Zone::new(n("mycdn.ciab.test"));
+        z.add_cname(
+            n("video.mycdn.ciab.test"),
+            n("gone.cname-target.mycdn.ciab.test"),
+            60,
+        );
+        let cname_alone = |z: &Zone| match z.lookup(&n("video.mycdn.ciab.test"), RrType::A) {
+            LookupResult::Answer(recs) => {
+                assert_eq!(recs.len(), 1);
+                assert_eq!(recs[0].rrtype(), RrType::Cname);
+            }
+            other => panic!("expected the CNAME, got {other:?}"),
+        };
+        cname_alone(&z);
+        // Asking for the target first changes nothing.
+        assert_eq!(
+            z.lookup(&n("gone.cname-target.mycdn.ciab.test"), RrType::A),
+            LookupResult::NxDomain
+        );
+        cname_alone(&z);
+    }
+
+    #[test]
+    fn referral_without_an_address_for_its_ns_carries_no_glue() {
+        let mut z = Zone::new(n("test"));
+        z.add(Record::new(
+            n("ciab.test"),
+            RrClass::In,
+            3600,
+            RData::Ns(n("ns.no-glue.example")),
+        ));
+        match z.lookup(&n("www.ciab.test"), RrType::A) {
+            LookupResult::Referral { ns, glue } => {
+                assert_eq!(ns.len(), 1);
+                assert!(glue.is_empty(), "{glue:?}");
+            }
+            other => panic!("expected referral, got {other:?}"),
         }
     }
 

@@ -7,7 +7,6 @@
 //! one allocation. The encoder and decoder work on that form directly.
 
 use crate::error::WireError;
-use crate::intern::NameId;
 use crate::wire::{Reader, Writer};
 use std::fmt;
 
@@ -106,7 +105,7 @@ impl<'a> Iterator for Labels<'a> {
 /// Writes the offset of each label's length octet in `wire` into
 /// `starts`, leftmost first, and returns how many labels there are.
 /// Offsets of a valid name are below 254, so they fit a `u8`.
-pub(crate) fn label_starts(wire: &[u8], starts: &mut [u8; MAX_LABELS]) -> usize {
+fn label_starts(wire: &[u8], starts: &mut [u8; MAX_LABELS]) -> usize {
     let mut n = 0;
     let mut pos = 0;
     while let (Some(&len), Some(slot)) = (wire.get(pos), starts.get_mut(n)) {
@@ -200,18 +199,6 @@ impl Name {
     /// Iterates over the labels, leftmost (most specific) first.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
         Labels(self.wire())
-    }
-
-    /// Interns this name (and its parent chain), returning its
-    /// process-global case-folded id.
-    pub fn id(&self) -> NameId {
-        NameId::intern(self)
-    }
-
-    /// The interned id of this name if it has ever been interned; never
-    /// allocates or grows the intern table.
-    pub fn lookup_id(&self) -> Option<NameId> {
-        NameId::lookup(self)
     }
 
     /// Length of the uncompressed wire encoding, including the root octet.
@@ -837,6 +824,18 @@ mod tests {
                 "digest mismatch for {s:?}"
             );
         }
+    }
+
+    #[test]
+    fn dot_bearing_label_does_not_collide_with_split_labels() {
+        // Wire-decoded names may carry labels containing literal dot
+        // octets: `["a.b", "zz"]` is not `["a", "b", "zz"]`, even though
+        // both print as "a.b.zz.".
+        let a = Name::decode(&mut Reader::new(&[3, b'a', b'.', b'b', 2, b'z', b'z', 0])).unwrap();
+        let b = Name::decode(&mut Reader::new(&[1, b'a', 1, b'b', 2, b'z', b'z', 0])).unwrap();
+        assert_eq!(a.to_string(), b.to_string());
+        assert_ne!(a, b, "equality follows label structure");
+        assert_ne!(digest(&a), digest(&b), "and so does the hash");
     }
 
     #[test]

@@ -471,9 +471,9 @@ proptest! {
     }
 }
 
-/// Mixed-case names over a small pool of shared suffixes — the shape the
-/// interner must get right: distinct names colliding on suffixes, equal
-/// names differing only in case.
+/// Mixed-case names over a small pool of shared suffixes — the shape
+/// name identity must get right: distinct names colliding on suffixes,
+/// equal names differing only in case.
 fn arb_shared_suffix_name() -> impl Strategy<Value = Name> {
     (
         0u8..4,
@@ -506,54 +506,60 @@ fn arb_shared_suffix_name() -> impl Strategy<Value = Name> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // NameId interning must be semantically identical to the old
-    // `canonical()`-String keying: id equality == canonical equality,
-    // and id-space suffix matching == `Name::is_subdomain_of`.
+    // `Name` identity must be semantically identical to keying on the
+    // `canonical()` string: `==` and `cmp() == Equal` agree with
+    // canonical equality, and `is_subdomain_of` with a suffix test at a
+    // dot boundary on the canonical strings.
     #[test]
     fn interning_matches_string_keying(
         names in proptest::collection::vec(arb_shared_suffix_name(), 2..10),
     ) {
         for a in &names {
             for b in &names {
-                let same = a.canonical() == b.canonical();
+                let (ca, cb) = (a.canonical(), b.canonical());
+                let same = ca == cb;
+                prop_assert_eq!(a == b, same, "== vs canonical equality diverged for {} / {}", a, b);
                 prop_assert_eq!(
-                    a.id() == b.id(), same,
-                    "id vs canonical equality diverged for {a} / {b}"
+                    a.cmp(b).is_eq(), same,
+                    "cmp vs canonical equality diverged for {} / {}", a, b
                 );
+                let suffix = same || (ca.ends_with(&cb) && ca[..ca.len() - cb.len()].ends_with('.'));
                 prop_assert_eq!(
-                    a.id().is_subdomain_of(b.id()), a.is_subdomain_of(b),
-                    "subdomain semantics diverged for {a} under {b}"
+                    a.is_subdomain_of(b), suffix,
+                    "subdomain semantics diverged for {} under {}", a, b
                 );
             }
         }
     }
 
-    // A map keyed by (NameId, qtype) must hit and miss exactly like one
+    // Maps keyed by (Name, qtype) must hit and miss exactly like one
     // keyed by (canonical String, qtype) under a random insert/get
     // schedule — the cache's key-scheme equivalence, without the cache.
+    // The hash map checks `Hash` and `==`, the ordered map `Ord`.
     #[test]
     fn cache_key_schemes_hit_and_miss_identically(
         names in proptest::collection::vec(arb_shared_suffix_name(), 1..8),
         ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..64),
     ) {
-        use dns_wire::NameId;
-        use std::collections::HashMap;
+        use std::collections::{BTreeMap, HashMap};
         let mut by_string: HashMap<(String, u16), u32> = HashMap::new();
-        let mut by_id: HashMap<(NameId, u16), u32> = HashMap::new();
+        let mut hashed: HashMap<(Name, u16), u32> = HashMap::new();
+        let mut ordered: BTreeMap<(Name, u16), u32> = BTreeMap::new();
         for (i, &(sel, op)) in ops.iter().enumerate() {
             let name = &names[sel as usize % names.len()];
             let qtype = if op & 1 == 0 { 1u16 } else { 28 };
+            let key = (name.clone(), qtype);
             if op & 2 == 0 {
                 by_string.insert((name.canonical(), qtype), i as u32);
-                by_id.insert((name.id(), qtype), i as u32);
+                hashed.insert(key.clone(), i as u32);
+                ordered.insert(key, i as u32);
             } else {
                 let s = by_string.get(&(name.canonical(), qtype)).copied();
-                let d = name
-                    .lookup_id()
-                    .and_then(|id| by_id.get(&(id, qtype)).copied());
-                prop_assert_eq!(s, d, "hit/miss diverged for {} type {}", name, qtype);
+                prop_assert_eq!(s, hashed.get(&key).copied(), "hash map diverged for {} type {}", name, qtype);
+                prop_assert_eq!(s, ordered.get(&key).copied(), "ordered map diverged for {} type {}", name, qtype);
             }
-            prop_assert_eq!(by_string.len(), by_id.len());
+            prop_assert_eq!(by_string.len(), hashed.len());
+            prop_assert_eq!(by_string.len(), ordered.len());
         }
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! Each client thread owns one socket and plays a strict closed loop:
 //! send a query, wait for the matching response (or a timeout), record
-//! the round-trip, repeat. Queries draw content ranks from a Zipf
-//! distribution — the workload crate's model of content popularity —
-//! over the topology's hosted namespace, so the L-DNS cache sees a
-//! realistic hit/miss mix. Clients are seeded deterministically
+//! the round-trip, repeat. A reply that arrives after its query timed
+//! out is dropped when it turns up, so one slow answer costs one
+//! timeout, not every later query of that client. Queries draw content
+//! ranks from a Zipf distribution — the workload crate's model of
+//! content popularity — over the topology's hosted namespace, so the
+//! L-DNS cache sees a realistic hit/miss mix. Clients are seeded deterministically
 //! (`seed + client index`), so two runs issue the same query streams;
 //! only the timings differ.
 //!
@@ -16,8 +18,10 @@
 use crate::clock::WallClock;
 use cdn_sim::ServeTopology;
 use dns_wire::{Message, Opt, RrType};
+use netsim::{Histogram, SimDuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
@@ -70,14 +74,15 @@ pub struct LoadReport {
     pub timeouts: u64,
     /// Responses that did not parse.
     pub decode_errors: u64,
-    /// Responses whose transaction id did not match the query.
+    /// Responses whose transaction id matches neither the query in
+    /// flight nor an earlier query of this client that timed out.
     pub mismatches: u64,
     /// Responses with the TC bit set.
     pub truncated: u64,
     /// Wall time of the whole run.
     pub elapsed_ns: u64,
-    /// Round-trip time of every received response, in arrival order.
-    pub latencies_ns: Vec<u64>,
+    /// Round-trip time of every received response, in fixed memory.
+    pub latencies: Histogram,
 }
 
 impl LoadReport {
@@ -89,7 +94,7 @@ impl LoadReport {
         self.mismatches += other.mismatches;
         self.truncated += other.truncated;
         self.elapsed_ns = self.elapsed_ns.max(other.elapsed_ns);
-        self.latencies_ns.extend(other.latencies_ns);
+        self.latencies.merge(&other.latencies);
     }
 
     /// Completed queries per second over the whole run.
@@ -100,16 +105,10 @@ impl LoadReport {
         self.received as f64 / (self.elapsed_ns as f64 / 1e9)
     }
 
-    /// Round-trip percentile in nanoseconds (`p` in `[0, 1]`), `None`
-    /// before any response arrived.
+    /// Round-trip percentile in nanoseconds (`p` in `[0, 1]`), within
+    /// 1/64 of the exact value; `None` before any response arrived.
     pub fn percentile_ns(&self, p: f64) -> Option<u64> {
-        if self.latencies_ns.is_empty() {
-            return None;
-        }
-        let mut sorted = self.latencies_ns.clone();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
-        sorted.get(rank).copied()
+        self.latencies.quantile(p).map(SimDuration::as_nanos)
     }
 }
 
@@ -155,11 +154,14 @@ fn client_loop(
     let target = config.targets[index % config.targets.len()];
     let sock = UdpSocket::bind(("0.0.0.0", 0))?;
     sock.connect(target)?;
-    sock.set_read_timeout(Some(Duration::from_millis(config.timeout_ms.max(1))))?;
+    let timeout = Duration::from_millis(config.timeout_ms.max(1));
+    sock.set_read_timeout(Some(timeout))?;
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(index as u64));
     let zipf = Zipf::new(config.names.max(1), config.alpha);
     let mut report = LoadReport::default();
     let mut buf = vec![0u8; 65_535];
+    // Ids of this client's queries that timed out, until they are reused.
+    let mut timed_out = HashSet::new();
     for seq in 0..quota {
         let rank = zipf.sample(&mut rng);
         let id = (seq as u16).wrapping_add((index as u16) << 12);
@@ -168,33 +170,56 @@ fn client_loop(
         let bytes = query
             .encode()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        timed_out.remove(&id);
         let t0 = clock.elapsed_ns();
+        let deadline = t0 + timeout.as_nanos() as u64;
         sock.send(&bytes)?;
         report.sent += 1;
-        match sock.recv(&mut buf) {
-            Ok(len) => {
-                let rtt = clock.elapsed_ns().saturating_sub(t0);
-                match Message::decode(&buf[..len]) {
-                    Ok(resp) if resp.header.id == id => {
-                        report.received += 1;
-                        report.latencies_ns.push(rtt);
-                        if resp.header.truncated {
-                            report.truncated += 1;
-                        }
-                    }
-                    Ok(_) => report.mismatches += 1,
-                    Err(_) => report.decode_errors += 1,
+        // Wait for this query's id until its deadline, whatever else
+        // arrives first.
+        let mut shortened = false;
+        loop {
+            let reply = match sock.recv(&mut buf) {
+                Ok(len) => buf.get(..len),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    None
                 }
+                Err(e) => return Err(e),
+            };
+            let now = clock.elapsed_ns();
+            match reply.map(Message::decode) {
+                Some(Ok(resp)) if resp.header.id == id => {
+                    report.received += 1;
+                    report
+                        .latencies
+                        .record(SimDuration::from_nanos(now.saturating_sub(t0)));
+                    if resp.header.truncated {
+                        report.truncated += 1;
+                    }
+                    break;
+                }
+                // A late reply to an earlier query: `timeouts` counts it.
+                Some(Ok(resp)) if timed_out.contains(&resp.header.id) => {}
+                Some(Ok(_)) => report.mismatches += 1,
+                Some(Err(_)) => report.decode_errors += 1,
+                None => {}
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
+            let left = deadline.saturating_sub(now);
+            if left == 0 {
                 report.timeouts += 1;
+                timed_out.insert(id);
+                break;
             }
-            Err(e) => return Err(e),
+            sock.set_read_timeout(Some(Duration::from_nanos(left)))?;
+            shortened = true;
+        }
+        if shortened {
+            sock.set_read_timeout(Some(timeout))?;
         }
     }
     Ok(report)
@@ -215,7 +240,9 @@ mod tests {
         let mut r = LoadReport::default();
         assert_eq!(r.percentile_ns(0.5), None);
         assert_eq!(r.qps(), 0.0);
-        r.latencies_ns = vec![30, 10, 20];
+        for ns in [30, 10, 20] {
+            r.latencies.record(SimDuration::from_nanos(ns));
+        }
         r.received = 3;
         r.elapsed_ns = 1_500_000_000;
         assert_eq!(r.percentile_ns(0.0), Some(10));
